@@ -4,6 +4,7 @@
 
 #include "query/world_arena.h"
 #include "util/check.h"
+#include "util/simd.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -27,24 +28,39 @@ Result<std::vector<size_t>> ResolveTargets(
   return indices;
 }
 
-// Updates per-target forall/exists success counts from one world's marks.
-void Accumulate(const uint8_t* is_nn, const std::vector<size_t>& target_index,
-                size_t interval_length, std::vector<size_t>* forall_hits,
-                std::vector<size_t>* exists_hits) {
-  for (size_t ti = 0; ti < target_index.size(); ++ti) {
-    const uint8_t* row = is_nn + target_index[ti] * interval_length;
-    bool all = true, any = false;
-    for (size_t r = 0; r < interval_length; ++r) {
-      if (row[r]) {
-        any = true;
-      } else {
-        all = false;
+// Per-target forall/exists success counts, accumulated from marked world
+// words (WorldSampler's layout): a target's worlds with the NN bit at every
+// tic of the interval are an AND fold of its tic rows, at some tic an OR
+// fold — 64 worlds per word, popcounted by the dispatched kernels.
+struct TargetHits {
+  TargetHits(const std::vector<size_t>& target_index, size_t interval_length)
+      : target_index(target_index), len(interval_length),
+        forall(target_index.size(), 0), exists(target_index.size(), 0),
+        rows(interval_length) {}
+
+  /// Adds `num_worlds` worlds marked from bit 0 on in the rows of `words`
+  /// (bits past num_worlds in the last word are zero by contract).
+  void Add(const uint64_t* words, size_t words_per_tic, size_t num_worlds) {
+    const size_t num_words = (num_worlds + 63) / 64;
+    for (size_t ti = 0; ti < target_index.size(); ++ti) {
+      for (size_t r = 0; r < len; ++r) {
+        rows[r] = words + (target_index[ti] * len + r) * words_per_tic;
       }
+      forall[ti] += AndRowsPopcount(rows.data(), len, num_words);
+      exists[ti] += OrRowsPopcount(rows.data(), len, num_words);
     }
-    (*forall_hits)[ti] += all ? 1 : 0;
-    (*exists_hits)[ti] += any ? 1 : 0;
   }
-}
+
+  size_t Of(PnnSemantics semantics, size_t ti) const {
+    return semantics == PnnSemantics::kForall ? forall[ti] : exists[ti];
+  }
+
+  const std::vector<size_t>& target_index;
+  size_t len;
+  std::vector<size_t> forall;
+  std::vector<size_t> exists;
+  std::vector<const uint64_t*> rows;  // one target's per-tic rows
+};
 
 }  // namespace
 
@@ -64,20 +80,18 @@ Result<SequentialPnnResult> EstimatePnnSequential(
       WorldSampler::Create(db, participants, q, T, options.k, options.seed);
   if (!sampler.ok()) return sampler.status();
 
-  const size_t len = T.length();
-  const size_t world_stride = participants.size() * len;
-  std::vector<uint8_t> is_nn(options.batch_size * world_stride);
-  std::vector<size_t> forall_hits(targets.size(), 0);
-  std::vector<size_t> exists_hits(targets.size(), 0);
+  WorldSampler::Scratch scratch;
+  sampler.value().ResetCursor(&scratch);
+  const size_t words_per_tic = (options.batch_size + 63) / 64;
+  std::vector<uint64_t> words(participants.size() * T.length() * words_per_tic,
+                              0);
+  TargetHits hits(target_index.value(), T.length());
   size_t worlds = 0;
   while (worlds < options.max_worlds) {
     const size_t batch =
         std::min(options.batch_size, options.max_worlds - worlds);
-    sampler.value().SampleWorlds(batch, is_nn.data(), world_stride);
-    for (size_t b = 0; b < batch; ++b) {
-      Accumulate(is_nn.data() + b * world_stride, target_index.value(), len,
-                 &forall_hits, &exists_hits);
-    }
+    sampler.value().SampleNext(batch, words.data(), words_per_tic, &scratch);
+    hits.Add(words.data(), words_per_tic, batch);
     worlds += batch;
     if (HoeffdingEpsilon(worlds, options.delta) <= options.epsilon) break;
   }
@@ -89,8 +103,8 @@ Result<SequentialPnnResult> EstimatePnnSequential(
   for (size_t ti = 0; ti < targets.size(); ++ti) {
     result.estimates.push_back(
         {targets[ti],
-         static_cast<double>(forall_hits[ti]) / static_cast<double>(worlds),
-         static_cast<double>(exists_hits[ti]) / static_cast<double>(worlds)});
+         static_cast<double>(hits.forall[ti]) / static_cast<double>(worlds),
+         static_cast<double>(hits.exists[ti]) / static_cast<double>(worlds)});
   }
   return result;
 }
@@ -119,11 +133,12 @@ Result<ThresholdQueryResult> DecideThresholdSequential(
   // the joint decision holds at 1 - delta.
   const double per_object_delta =
       options.delta / static_cast<double>(std::max<size_t>(1, targets.size()));
-  const size_t len = T.length();
-  const size_t world_stride = participants.size() * len;
-  std::vector<uint8_t> is_nn(options.batch_size * world_stride);
-  std::vector<size_t> forall_hits(targets.size(), 0);
-  std::vector<size_t> exists_hits(targets.size(), 0);
+  WorldSampler::Scratch scratch;
+  sampler.value().ResetCursor(&scratch);
+  const size_t words_per_tic = (options.batch_size + 63) / 64;
+  std::vector<uint64_t> words(participants.size() * T.length() * words_per_tic,
+                              0);
+  TargetHits hits(target_index.value(), T.length());
 
   ThresholdQueryResult result;
   result.decisions.resize(targets.size());
@@ -133,32 +148,26 @@ Result<ThresholdQueryResult> DecideThresholdSequential(
   while (worlds < options.max_worlds && undecided > 0) {
     const size_t batch =
         std::min(options.batch_size, options.max_worlds - worlds);
-    sampler.value().SampleWorlds(batch, is_nn.data(), world_stride);
-    for (size_t b = 0; b < batch; ++b) {
-      Accumulate(is_nn.data() + b * world_stride, target_index.value(), len,
-                 &forall_hits, &exists_hits);
-    }
+    sampler.value().SampleNext(batch, words.data(), words_per_tic, &scratch);
+    hits.Add(words.data(), words_per_tic, batch);
     worlds += batch;
     for (size_t ti = 0; ti < targets.size(); ++ti) {
       if (decided[ti]) continue;
-      const size_t hits = semantics == PnnSemantics::kForall
-                              ? forall_hits[ti]
-                              : exists_hits[ti];
-      Interval ci = WilsonInterval(hits, worlds, per_object_delta);
+      const size_t h = hits.Of(semantics, ti);
+      Interval ci = WilsonInterval(h, worlds, per_object_delta);
       if (ci.lo >= tau || ci.hi < tau) {
         decided[ti] = 1;
         --undecided;
         result.decisions[ti] = {targets[ti], ci.lo >= tau, /*decided=*/true,
-                                static_cast<double>(hits) / worlds, worlds};
+                                static_cast<double>(h) / worlds, worlds};
       }
     }
   }
   // Undecided targets: fall back to the point estimate, flagged as such.
   for (size_t ti = 0; ti < targets.size(); ++ti) {
     if (decided[ti]) continue;
-    const size_t hits = semantics == PnnSemantics::kForall ? forall_hits[ti]
-                                                           : exists_hits[ti];
-    const double estimate = static_cast<double>(hits) / worlds;
+    const size_t h = hits.Of(semantics, ti);
+    const double estimate = static_cast<double>(h) / worlds;
     result.decisions[ti] = {targets[ti], estimate >= tau, /*decided=*/false,
                             estimate, worlds};
   }
@@ -172,7 +181,7 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const TimeInterval& T, PnnSemantics semantics, double tau,
     const MonteCarloOptions& mc, const PrecisionTarget& precision,
     ThreadPool* pool, WorldSampler::Scratch* scratch,
-    std::vector<uint8_t>* rows, const WorldArena* arena, bool* used_arena) {
+    const WorldArena* arena, bool* used_arena) {
   if (precision.mode == PrecisionMode::kFixedWorlds) {
     return Status::InvalidArgument(
         "adaptive estimator requires a non-fixed precision mode");
@@ -197,9 +206,11 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
   const WorldSampler& ws = sampler.value();
 
   const size_t cap = mc.num_worlds;
-  const size_t len = T.length();
-  const size_t stride = participants.size() * len;
   constexpr size_t kChunk = WorldSampler::kWorldChunk;
+  constexpr size_t kWords = WorldSampler::kChunkWords;
+  // One chunk-local word table: the same kernel that fills NnTable marks
+  // each chunk into it, then the targets' rows are popcounted.
+  const size_t table_words = participants.size() * T.length() * kWords;
 
   // Arena coverage is checked against the *cap*: the prefix property of the
   // id-keyed streams means an arena holding num_worlds >= cap serves any
@@ -213,8 +224,7 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
   const double per_target_delta =
       precision.delta / static_cast<double>(std::max<size_t>(1, num_targets));
 
-  std::vector<size_t> forall_hits(num_targets, 0);
-  std::vector<size_t> exists_hits(num_targets, 0);
+  TargetHits hits(target_index.value(), T.length());
   AdaptivePnnResult result;
   result.estimates.resize(num_targets);
   std::vector<char> decided(num_targets, 0);
@@ -229,10 +239,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     if (precision.mode == PrecisionMode::kThreshold) {
       for (size_t ti = 0; ti < num_targets; ++ti) {
         if (decided[ti]) continue;
-        const size_t hits = semantics == PnnSemantics::kForall
-                                ? forall_hits[ti]
-                                : exists_hits[ti];
-        Interval ci = WilsonInterval(hits, worlds, per_target_delta);
+        const size_t h = hits.Of(semantics, ti);
+        Interval ci = WilsonInterval(h, worlds, per_target_delta);
         if (ci.lo >= tau || ci.hi < tau) {
           decided[ti] = 1;
           --undecided;
@@ -241,8 +249,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
           // frozen estimate agrees with the interval decision under any
           // downstream `p >= tau` filter.
           result.estimates[ti] = {
-              targets[ti], static_cast<double>(forall_hits[ti]) / w,
-              static_cast<double>(exists_hits[ti]) / w};
+              targets[ti], static_cast<double>(hits.forall[ti]) / w,
+              static_cast<double>(hits.exists[ti]) / w};
         }
       }
       return undecided == 0;
@@ -254,9 +262,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
       return true;
     }
     for (size_t ti = 0; ti < num_targets; ++ti) {
-      const size_t hits = semantics == PnnSemantics::kForall ? forall_hits[ti]
-                                                             : exists_hits[ti];
-      Interval ci = WilsonInterval(hits, worlds, per_target_delta);
+      const size_t h = hits.Of(semantics, ti);
+      Interval ci = WilsonInterval(h, worlds, per_target_delta);
       if (ci.hi - ci.lo > 2.0 * precision.epsilon) return false;
     }
     return true;
@@ -267,9 +274,7 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
   bool stopped = false;
 
   WorldSampler::Scratch local_scratch;
-  std::vector<uint8_t> local_rows;
   if (scratch == nullptr) scratch = &local_scratch;
-  if (rows == nullptr) rows = &local_rows;
 
   const int workers = pool != nullptr ? pool->num_threads() : 1;
   if (workers > 1 && num_chunks > 1) {
@@ -281,7 +286,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     // never pay for speculation.
     const size_t wave_cap = static_cast<size_t>(workers);
     std::vector<WorldSampler::Scratch> scratches(wave_cap);
-    std::vector<std::vector<uint8_t>> bufs(wave_cap);
+    std::vector<std::vector<uint64_t>> bufs(
+        wave_cap, std::vector<uint64_t>(table_words, 0));
     std::vector<std::vector<Rng>> starts(wave_cap);
     std::vector<Rng> cursor;
     if (!arena_ok) cursor = ws.InitialRngs();
@@ -302,22 +308,18 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
       pool->ParallelFor(wave_chunks, [&](size_t j, int) {
         const size_t w0 = (c + j) * kChunk;
         const size_t n = std::min(kChunk, cap - w0);
-        bufs[j].resize(n * stride);
         if (arena_ok) {
-          ws.EvalArenaWorlds(*arena, w0, n, bufs[j].data(), stride,
+          ws.EvalArenaWorlds(*arena, w0, n, bufs[j].data(), kWords,
                              &scratches[j]);
         } else {
-          ws.SampleWorldsFrom(starts[j], n, bufs[j].data(), stride,
+          ws.SampleWorldsFrom(starts[j], n, bufs[j].data(), kWords,
                               &scratches[j]);
         }
       });
       for (size_t j = 0; j < wave_chunks && !stopped; ++j) {
         const size_t w0 = (c + j) * kChunk;
         const size_t n = std::min(kChunk, cap - w0);
-        for (size_t b = 0; b < n; ++b) {
-          Accumulate(bufs[j].data() + b * stride, target_index.value(), len,
-                     &forall_hits, &exists_hits);
-        }
+        hits.Add(bufs[j].data(), kWords, n);
         worlds = w0 + n;
         stopped = check_stop(worlds);
       }
@@ -326,18 +328,19 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     }
   } else {
     if (!arena_ok) ws.ResetCursor(scratch);
-    rows->resize(std::min(cap, kChunk) * stride);
+    // Rows a participant's window never reaches stay zero; every written
+    // row is rewritten by each chunk, and a partial last chunk is counted
+    // over its own words only.
+    std::vector<uint64_t>& words = scratch->words;
+    words.assign(table_words, 0);
     for (size_t w0 = 0; w0 < cap && !stopped; w0 += kChunk) {
       const size_t n = std::min(kChunk, cap - w0);
       if (arena_ok) {
-        ws.EvalArenaWorlds(*arena, w0, n, rows->data(), stride, scratch);
+        ws.EvalArenaWorlds(*arena, w0, n, words.data(), kWords, scratch);
       } else {
-        ws.SampleNext(n, rows->data(), stride, scratch);
+        ws.SampleNext(n, words.data(), kWords, scratch);
       }
-      for (size_t b = 0; b < n; ++b) {
-        Accumulate(rows->data() + b * stride, target_index.value(), len,
-                   &forall_hits, &exists_hits);
-      }
+      hits.Add(words.data(), kWords, n);
       worlds = w0 + n;
       stopped = check_stop(worlds);
     }
@@ -351,8 +354,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
   for (size_t ti = 0; ti < num_targets; ++ti) {
     if (precision.mode == PrecisionMode::kThreshold && decided[ti]) continue;
     result.estimates[ti] = {targets[ti],
-                            static_cast<double>(forall_hits[ti]) / w,
-                            static_cast<double>(exists_hits[ti]) / w};
+                            static_cast<double>(hits.forall[ti]) / w,
+                            static_cast<double>(hits.exists[ti]) / w};
   }
   result.worlds_used = worlds;
   result.early_stopped = stopped && worlds < cap;

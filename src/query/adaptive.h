@@ -134,7 +134,6 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const TimeInterval& T, PnnSemantics semantics, double tau,
     const MonteCarloOptions& mc, const PrecisionTarget& precision,
     ThreadPool* pool, WorldSampler::Scratch* scratch,
-    std::vector<uint8_t>* rows, const WorldArena* arena = nullptr,
-    bool* used_arena = nullptr);
+    const WorldArena* arena = nullptr, bool* used_arena = nullptr);
 
 }  // namespace ust

@@ -111,7 +111,7 @@ class MonteCarloExecutor : public Executor {
           task.kind == QueryKind::kExists ? PnnSemantics::kExists
                                           : PnnSemantics::kForall,
           task.tau, task.mc, task.precision, ctx.pool, ctx.sampler_scratch,
-          ctx.row_buffer, ctx.arena, ctx.arena_used);
+          ctx.arena, ctx.arena_used);
       if (!adaptive.ok()) return adaptive.status();
       if (ctx.worlds_used != nullptr) {
         *ctx.worlds_used = adaptive.value().worlds_used;
@@ -121,13 +121,13 @@ class MonteCarloExecutor : public Executor {
       }
       return std::move(adaptive.value().estimates);
     }
-    if (ctx.worlds_used != nullptr) *ctx.worlds_used = task.mc.num_worlds;
-    if (ctx.early_stopped != nullptr) *ctx.early_stopped = false;
     auto table = ComputeNnTableScratch(*task.db, *task.participants, *task.q,
                                        task.T, task.mc, ctx.pool,
-                                       ctx.sampler_scratch, ctx.row_buffer,
-                                       ctx.arena, ctx.arena_used);
+                                       ctx.sampler_scratch, ctx.arena,
+                                       ctx.arena_used);
     if (!table.ok()) return table.status();
+    if (ctx.worlds_used != nullptr) *ctx.worlds_used = task.mc.num_worlds;
+    if (ctx.early_stopped != nullptr) *ctx.early_stopped = false;
     std::vector<PnnEstimate> out;
     out.reserve(task.targets->size());
     for (ObjectId t : *task.targets) {

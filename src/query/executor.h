@@ -66,15 +66,16 @@ struct PnnTask {
 struct ExecContext {
   ThreadPool* pool = nullptr;                  ///< world-chunk sharding
   WorldSampler::Scratch* sampler_scratch = nullptr;
-  std::vector<uint8_t>* row_buffer = nullptr;  ///< byte staging for packing
   /// Pre-sampled world arena of the session's (interval, seed) group; the
   /// Monte-Carlo backend evaluates against it when it covers the task
   /// (bit-identical either way) and reports the decision in `arena_used`.
   const WorldArena* arena = nullptr;
   bool* arena_used = nullptr;
-  /// Out-params of the adaptive Monte-Carlo path: worlds actually drawn
+  /// Out-params of the Monte-Carlo backend: worlds actually drawn
   /// (num_worlds on the fixed path) and whether the stopping rule fired
-  /// before the cap. Left untouched by the non-sampling backends.
+  /// before the cap. Written only when the estimate succeeds — a failed
+  /// spec drew no worlds it can report — and left untouched by the
+  /// non-sampling backends.
   size_t* worlds_used = nullptr;
   bool* early_stopped = nullptr;
 };

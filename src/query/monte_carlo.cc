@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "query/world_arena.h"
 #include "util/check.h"
@@ -43,25 +44,6 @@ size_t NnTable::IndexOf(ObjectId o) const {
       });
   if (it != sorted_index_.end() && it->first == o) return it->second;
   return npos;
-}
-
-void NnTable::PackWorlds(size_t first_world, size_t count, const uint8_t* is_nn,
-                         size_t world_stride) {
-  UST_CHECK(first_world + count <= num_worlds_);
-  UST_CHECK((first_world & 63) == 0 || count == 0);
-  const size_t row_len = objects_.size() * interval_.length();
-  // World-outer: the touched words (one per (object, tic), stride
-  // words_per_tic_ apart) stay cache-resident across the 64 consecutive
-  // worlds that share them.
-  for (size_t w = 0; w < count; ++w) {
-    const uint8_t* row = is_nn + w * world_stride;
-    const size_t world = first_world + w;
-    uint64_t* base = bits_.data() + (world >> 6);
-    const uint64_t bit = uint64_t{1} << (world & 63);
-    for (size_t idx = 0; idx < row_len; ++idx) {
-      if (row[idx]) base[idx * words_per_tic_] |= bit;
-    }
-  }
 }
 
 double NnTable::ReduceProb(size_t obj_index, const Tic* tics, size_t num_tics,
@@ -202,7 +184,19 @@ Result<WorldSampler> WorldSampler::Create(const DbSnapshot& db,
 
 void WorldSampler::SampleWorlds(size_t count, uint8_t* is_nn,
                                 size_t world_stride) {
-  SampleCore(count, is_nn, world_stride, live_rngs_.data(), &scratch_);
+  const size_t row_len = resolved_.size() * interval_.length();
+  const size_t words_per_tic = (count + 63) / 64;
+  std::vector<uint64_t>& words = scratch_.words;
+  words.assign(row_len * words_per_tic, 0);
+  SampleCore(count, words.data(), words_per_tic, live_rngs_.data(),
+             &scratch_);
+  for (size_t w = 0; w < count; ++w) {
+    uint8_t* row = is_nn + w * world_stride;
+    const uint64_t* word = words.data() + (w >> 6);
+    for (size_t idx = 0; idx < row_len; ++idx) {
+      row[idx] = (word[idx * words_per_tic] >> (w & 63)) & 1u;
+    }
+  }
 }
 
 std::vector<Rng> WorldSampler::InitialRngs() const {
@@ -221,15 +215,15 @@ void WorldSampler::AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds) {
 }
 
 void WorldSampler::SampleWorldsFrom(const std::vector<Rng>& rng_starts,
-                                    size_t count, uint8_t* is_nn,
-                                    size_t world_stride,
+                                    size_t count, uint64_t* words,
+                                    size_t words_per_tic,
                                     Scratch* scratch) const {
   UST_CHECK(rng_starts.size() == resolved_.size());
   scratch->rngs = rng_starts;
   // The cursor now holds this sampler's streams; keep the owner tag honest
   // so a later SampleNext cannot continue foreign positions unchecked.
   scratch->cursor_owner = cursor_id_;
-  SampleCore(count, is_nn, world_stride, scratch->rngs.data(), scratch);
+  SampleCore(count, words, words_per_tic, scratch->rngs.data(), scratch);
 }
 
 void WorldSampler::ResetCursor(Scratch* scratch) const {
@@ -237,113 +231,117 @@ void WorldSampler::ResetCursor(Scratch* scratch) const {
   scratch->cursor_owner = cursor_id_;
 }
 
-void WorldSampler::SampleNext(size_t count, uint8_t* is_nn,
-                              size_t world_stride, Scratch* scratch) const {
+void WorldSampler::SampleNext(size_t count, uint64_t* words,
+                              size_t words_per_tic, Scratch* scratch) const {
   // A cursor positioned on another sampler must not silently continue here:
   // the worlds would depend on whatever query ran before, not on the seed.
   UST_CHECK(cursor_id_ != 0 && scratch->cursor_owner == cursor_id_ &&
             scratch->rngs.size() == resolved_.size());
-  SampleCore(count, is_nn, world_stride, scratch->rngs.data(), scratch);
+  SampleCore(count, words, words_per_tic, scratch->rngs.data(), scratch);
 }
 
-void WorldSampler::SampleCore(size_t count, uint8_t* is_nn,
-                              size_t world_stride, Rng* rngs,
+void WorldSampler::SampleCore(size_t count, uint64_t* words,
+                              size_t words_per_tic, Rng* rngs,
                               Scratch* scratch) const {
   const size_t n = resolved_.size();
-  const size_t len = interval_.length();
-  const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double>& dist2 = scratch->dist2;
-  std::vector<double>& min_scratch = scratch->min_scratch;
+  scratch->index_rows.resize(n);
   for (size_t w0 = 0; w0 < count; w0 += kWorldChunk) {
     const size_t chunk = std::min(kWorldChunk, count - w0);
-    dist2.resize(total_wlen_ * chunk);
-    min_scratch.resize(chunk * len);
-    if (k_ == 1) std::fill(min_scratch.begin(), min_scratch.end(), kInf);
-    // ---- Phase 1: participant-major sampling straight into distances. ----
-    // One participant's alias tables stay hot across the whole chunk and the
-    // batch sampler keeps several walks in flight; the sampled windows are
-    // converted to squared distances immediately (no trajectory ever escapes
-    // this loop). For k == 1 the chunk's per-tic minima fold into the same
-    // pass while the block is L1-resident.
+    scratch->draws.resize(total_wlen_ * chunk);
+    // Participant-major alias walks: one participant's tables stay hot
+    // across the whole chunk and the batch sampler keeps several walks in
+    // flight. The drawn support indices land tic-major — the layout of an
+    // arena slab — so the live and arena paths share MarkChunk.
     for (size_t i = 0; i < n; ++i) {
       const Participant& p = resolved_[i];
       if (!p.alive) continue;
-      const double* dtab = dtab_.data() + p.dbase;
-      const uint32_t* doff = p.dtab_off.data();
-      double* block = dist2.data() + p.doff * chunk;
-      const uint32_t wlen = p.wlen;
-      if (k_ == 1) {
-        double* mins = min_scratch.data() + p.rel0;
-        p.model->SampleWindowBatchVisit(
-            p.ws, p.we, chunk, rngs[i],
-            [=](size_t w, size_t rel, uint32_t local, StateId) {
-              const double d = dtab[doff[rel] + local];
-              block[w * wlen + rel] = d;
-              double& m = mins[w * len + rel];
-              if (d < m) m = d;
-            });
-      } else {
-        p.model->SampleWindowBatchVisit(
-            p.ws, p.we, chunk, rngs[i],
-            [=](size_t w, size_t rel, uint32_t local, StateId) {
-              block[w * wlen + rel] = dtab[doff[rel] + local];
-            });
-      }
+      uint32_t* draws = scratch->draws.data() + p.doff * chunk;
+      p.model->SampleWindowBatchVisit(
+          p.ws, p.we, chunk, rngs[i],
+          [draws, chunk](size_t w, size_t rel, uint32_t local, StateId) {
+            draws[rel * chunk + w] = local;
+          });
+      scratch->index_rows[i] = draws;
     }
-    ReduceChunk(w0, chunk, is_nn, world_stride, scratch);
+    MarkChunk(0, chunk, chunk, words + w0 / 64, words_per_tic, scratch);
   }
 }
 
-void WorldSampler::ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
-                               size_t world_stride, Scratch* scratch) const {
+void WorldSampler::MarkChunk(size_t index_offset, size_t index_stride,
+                             size_t chunk, uint64_t* words,
+                             size_t words_per_tic, Scratch* scratch) const {
   const size_t n = resolved_.size();
   const size_t len = interval_.length();
   const double kInf = std::numeric_limits<double>::infinity();
   std::vector<double>& dist2 = scratch->dist2;
-  std::vector<double>& min_scratch = scratch->min_scratch;
-  std::vector<double>& kth_scratch = scratch->kth_scratch;
-  // ---- Phase 2: k-th distances (k > 1 only; k == 1 folded in phase 1). ----
-  if (k_ != 1) {
-    for (size_t w = 0; w < chunk; ++w) {
-      double* mb = min_scratch.data() + w * len;
-      for (size_t rel = 0; rel < len; ++rel) {
-        kth_scratch.clear();
-        for (size_t i = 0; i < n; ++i) {
-          const Participant& p = resolved_[i];
-          if (!p.alive || rel < p.rel0 || rel >= p.rel0 + p.wlen) continue;
-          kth_scratch.push_back(
-              dist2[p.doff * chunk + w * p.wlen + (rel - p.rel0)]);
-        }
-        if (kth_scratch.empty()) {
-          mb[rel] = kInf;
-          continue;
-        }
-        const size_t kk =
-            std::min<size_t>(static_cast<size_t>(k_), kth_scratch.size());
-        std::nth_element(kth_scratch.begin(), kth_scratch.begin() + (kk - 1),
-                         kth_scratch.end());
-        mb[rel] = kth_scratch[kk - 1];
-      }
+  std::vector<double>& kth = scratch->kth;
+  dist2.resize(total_wlen_ * chunk);
+  kth.resize(len * chunk);
+  if (k_ == 1) std::fill(kth.begin(), kth.end(), kInf);
+  // Phase 1: gather each (participant, tic) row of distances over the
+  // chunk's contiguous worlds; k == 1 folds the per-tic minimum in the same
+  // sweep while the row is in registers.
+  for (size_t i = 0; i < n; ++i) {
+    const Participant& p = resolved_[i];
+    if (!p.alive) continue;
+    const double* dtab = dtab_.data() + p.dbase;
+    const uint32_t* indices = scratch->index_rows[i] + index_offset;
+    for (uint32_t r = 0; r < p.wlen; ++r) {
+      GatherMinDistances(dtab + p.dtab_off[r], indices + r * index_stride,
+                         chunk, dist2.data() + (p.doff + r) * chunk,
+                         k_ == 1 ? kth.data() + (p.rel0 + r) * chunk
+                                 : nullptr);
     }
   }
-  // Marking: every byte of a world row is written exactly once.
-  for (size_t w = 0; w < chunk; ++w) {
-    uint8_t* row = is_nn + (row0 + w) * world_stride;
-    const double* mb = min_scratch.data() + w * len;
-    for (size_t i = 0; i < n; ++i) {
-      const Participant& p = resolved_[i];
-      uint8_t* prow = row + i * len;
-      if (!p.alive) {
-        std::fill(prow, prow + len, 0);
-        continue;
-      }
-      const double* d = dist2.data() + p.doff * chunk + w * p.wlen;
-      std::fill(prow, prow + p.rel0, 0);
-      for (uint32_t r = 0; r < p.wlen; ++r) {
-        prow[p.rel0 + r] = d[r] <= mb[p.rel0 + r] ? 1 : 0;
-      }
-      std::fill(prow + p.rel0 + p.wlen, prow + len, 0);
+  if (k_ != 1) SelectKth(chunk, scratch);
+  // Phase 2: compare every (participant, tic) row against the tic's k-th
+  // distance, 64 worlds per bitmap word, straight into the caller's table.
+  for (size_t i = 0; i < n; ++i) {
+    const Participant& p = resolved_[i];
+    if (!p.alive) continue;
+    for (uint32_t r = 0; r < p.wlen; ++r) {
+      CompareLeMask(dist2.data() + (p.doff + r) * chunk,
+                    kth.data() + (p.rel0 + r) * chunk, chunk,
+                    words + (i * len + p.rel0 + r) * words_per_tic);
     }
+  }
+}
+
+void WorldSampler::SelectKth(size_t chunk, Scratch* scratch) const {
+  const size_t len = interval_.length();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double>& kbest = scratch->kbest;
+  for (size_t rel = 0; rel < len; ++rel) {
+    auto alive_at = [rel](const Participant& p) {
+      return p.alive && rel >= p.rel0 && rel < p.rel0 + p.wlen;
+    };
+    const size_t alive = static_cast<size_t>(
+        std::count_if(resolved_.begin(), resolved_.end(), alive_at));
+    if (alive == 0) continue;  // nobody to mark at this tic
+    // With fewer than k alive every one of them is a kNN: the k-th distance
+    // is then their maximum (the largest of the kk smallest).
+    const size_t kk = std::min<size_t>(static_cast<size_t>(k_), alive);
+    kbest.assign(kk * chunk, kInf);
+    // Sorted insertion per world: kbest[j * chunk + w] is world w's
+    // (j+1)-th smallest distance so far. The k-th smallest of a multiset is
+    // one value whatever the selection method, so the marks do not depend
+    // on how it is selected.
+    for (const Participant& p : resolved_) {
+      if (!alive_at(p)) continue;
+      const double* d =
+          scratch->dist2.data() + (p.doff + rel - p.rel0) * chunk;
+      for (size_t w = 0; w < chunk; ++w) {
+        double v = d[w];
+        for (size_t j = 0; j < kk; ++j) {
+          double& b = kbest[j * chunk + w];
+          const double lo = std::min(b, v);
+          v = std::max(b, v);
+          b = lo;
+        }
+      }
+    }
+    std::copy(kbest.begin() + (kk - 1) * chunk, kbest.begin() + kk * chunk,
+              scratch->kth.begin() + rel * chunk);
   }
 }
 
@@ -358,68 +356,29 @@ bool WorldSampler::CoveredBy(const WorldArena& arena) const {
 }
 
 void WorldSampler::EvalArenaWorlds(const WorldArena& arena, size_t first_world,
-                                   size_t count, uint8_t* is_nn,
-                                   size_t world_stride,
+                                   size_t count, uint64_t* words,
+                                   size_t words_per_tic,
                                    Scratch* scratch) const {
   UST_CHECK(first_world + count <= arena.num_worlds());
   const size_t n = resolved_.size();
-  const size_t len = interval_.length();
-  const double kInf = std::numeric_limits<double>::infinity();
-  std::vector<const uint32_t*>& slabs = scratch->arena_slabs;
-  slabs.resize(n);
+  std::vector<const uint32_t*>& rows = scratch->index_rows;
+  rows.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const Participant& p = resolved_[i];
-    if (!p.alive) {
-      slabs[i] = nullptr;
-      continue;
-    }
+    if (!p.alive) continue;
     const WorldArena::Entry* e = arena.Find(participants_[i]);
     UST_CHECK(e != nullptr && e->ws == p.ws && e->we == p.we);
-    slabs[i] = arena.slab(*e);
+    rows[i] = arena.slab(*e);
   }
-  std::vector<double>& dist2 = scratch->dist2;
-  std::vector<double>& min_scratch = scratch->min_scratch;
-  // Same chunk structure as SampleCore, with phase 1's alias walk replaced
-  // by slab reads: the slab holds the exact support indices the walk would
-  // have produced, the distance lookups and the min fold are the same
-  // operations on the same values, and ReduceChunk is shared — so the
-  // emitted rows are bit-identical to sampling these worlds live.
+  // Same chunk structure as SampleCore with the alias walk replaced by slab
+  // rows: the slab holds the exact support indices the walk would have
+  // produced, tic-major with a row stride of the arena's world count, and
+  // MarkChunk is shared — so the words are bit-identical to sampling these
+  // worlds live.
   for (size_t w0 = 0; w0 < count; w0 += kWorldChunk) {
     const size_t chunk = std::min(kWorldChunk, count - w0);
-    dist2.resize(total_wlen_ * chunk);
-    min_scratch.resize(chunk * len);
-    if (k_ == 1) std::fill(min_scratch.begin(), min_scratch.end(), kInf);
-    for (size_t i = 0; i < n; ++i) {
-      const Participant& p = resolved_[i];
-      if (!p.alive) continue;
-      const double* dtab = dtab_.data() + p.dbase;
-      const uint32_t* doff = p.dtab_off.data();
-      double* block = dist2.data() + p.doff * chunk;
-      const uint32_t wlen = p.wlen;
-      const uint32_t* slab = slabs[i] + (first_world + w0) * wlen;
-      if (k_ == 1) {
-        double* mins = min_scratch.data() + p.rel0;
-        for (size_t w = 0; w < chunk; ++w) {
-          const uint32_t* srow = slab + w * wlen;
-          double* brow = block + w * wlen;
-          double* mrow = mins + w * len;
-          for (uint32_t r = 0; r < wlen; ++r) {
-            const double d = dtab[doff[r] + srow[r]];
-            brow[r] = d;
-            if (d < mrow[r]) mrow[r] = d;
-          }
-        }
-      } else {
-        for (size_t w = 0; w < chunk; ++w) {
-          const uint32_t* srow = slab + w * wlen;
-          double* brow = block + w * wlen;
-          for (uint32_t r = 0; r < wlen; ++r) {
-            brow[r] = dtab[doff[r] + srow[r]];
-          }
-        }
-      }
-    }
-    ReduceChunk(w0, chunk, is_nn, world_stride, scratch);
+    MarkChunk(first_world + w0, arena.num_worlds(), chunk, words + w0 / 64,
+              words_per_tic, scratch);
   }
 }
 
@@ -429,65 +388,51 @@ Result<NnTable> ComputeNnTable(const DbSnapshot& db,
                                const MonteCarloOptions& options,
                                ThreadPool* pool) {
   return ComputeNnTableScratch(db, participants, q, T, options, pool,
-                               /*scratch=*/nullptr, /*rows=*/nullptr);
+                               /*scratch=*/nullptr);
 }
 
 Result<NnTable> ComputeNnTableScratch(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const QueryTrajectory& q, const TimeInterval& T,
     const MonteCarloOptions& options, ThreadPool* pool,
-    WorldSampler::Scratch* scratch, std::vector<uint8_t>* rows,
-    const WorldArena* arena, bool* used_arena) {
+    WorldSampler::Scratch* scratch, const WorldArena* arena,
+    bool* used_arena) {
   auto sampler =
       WorldSampler::Create(db, participants, q, T, options.k, options.seed);
   if (!sampler.ok()) return sampler.status();
   const WorldSampler& ws = sampler.value();
   NnTable table(participants, T, options.num_worlds);
-  const size_t stride = participants.size() * T.length();
+  const size_t wpt = table.words_per_tic();
   const bool arena_ok = arena != nullptr &&
                         arena->Matches(T, options.seed, options.num_worlds) &&
                         ws.CoveredBy(*arena);
   if (used_arena != nullptr) *used_arena = arena_ok;
+  WorldSampler::Scratch local_scratch;
+  if (scratch == nullptr) scratch = &local_scratch;
+  const bool sharded = pool != nullptr && pool->num_threads() > 1 &&
+                       options.num_worlds > WorldSampler::kWorldChunk;
   if (arena_ok) {
-    if (pool != nullptr && pool->num_threads() > 1 &&
-        options.num_worlds > WorldSampler::kWorldChunk) {
+    if (sharded) {
       // Evaluation needs no RNG prefix pass: any world range reads its
       // slab rows directly, so sharding is embarrassingly parallel and
-      // still byte-identical (disjoint 64-aligned packing, as below).
-      const int workers = pool->num_threads();
-      std::vector<WorldSampler::Scratch> scratches(workers);
-      std::vector<std::vector<uint8_t>> bufs(workers);
-      NnTable* table_ptr = &table;
+      // still bit-identical (disjoint 64-aligned words, as below).
+      std::vector<WorldSampler::Scratch> scratches(pool->num_threads());
       pool->ParallelForChunked(
           options.num_worlds, WorldSampler::kWorldChunk,
-          [&, table_ptr](size_t begin, size_t end, int worker) {
-            std::vector<uint8_t>& buf = bufs[worker];
-            buf.resize((end - begin) * stride);
-            ws.EvalArenaWorlds(*arena, begin, end - begin, buf.data(),
-                               stride, &scratches[worker]);
-            table_ptr->PackWorlds(begin, end - begin, buf.data(), stride);
+          [&](size_t begin, size_t end, int worker) {
+            ws.EvalArenaWorlds(*arena, begin, end - begin,
+                               table.WordsAt(begin), wpt,
+                               &scratches[worker]);
           });
     } else {
-      WorldSampler::Scratch local_scratch;
-      std::vector<uint8_t> local_rows;
-      if (scratch == nullptr) scratch = &local_scratch;
-      if (rows == nullptr) rows = &local_rows;
-      rows->resize(std::min(options.num_worlds, WorldSampler::kWorldChunk) *
-                   stride);
-      for (size_t w0 = 0; w0 < options.num_worlds;
-           w0 += WorldSampler::kWorldChunk) {
-        const size_t chunk =
-            std::min(WorldSampler::kWorldChunk, options.num_worlds - w0);
-        ws.EvalArenaWorlds(*arena, w0, chunk, rows->data(), stride, scratch);
-        table.PackWorlds(w0, chunk, rows->data(), stride);
-      }
+      ws.EvalArenaWorlds(*arena, 0, options.num_worlds, table.WordsAt(0),
+                         wpt, scratch);
     }
     return table;
   }
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      options.num_worlds > WorldSampler::kWorldChunk) {
+  if (sharded) {
     // Shard world chunks across the pool. Chunk boundaries are fixed
-    // (multiples of kWorldChunk, itself a multiple of 64), shards pack into
+    // (multiples of kWorldChunk, itself a multiple of 64), shards mark
     // disjoint bitmap words, and every chunk starts from an RNG state
     // precomputed by one serial O(W) prefix pass below — so the table is
     // bit-identical to serial at any thread count, without each shard
@@ -503,37 +448,18 @@ Result<NnTable> ComputeNnTableScratch(
         WorldSampler::AdvanceWorlds(&cursor, WorldSampler::kWorldChunk);
       }
     }
-    const int workers = pool->num_threads();
-    std::vector<WorldSampler::Scratch> scratches(workers);
-    std::vector<std::vector<uint8_t>> bufs(workers);
-    NnTable* table_ptr = &table;
+    std::vector<WorldSampler::Scratch> scratches(pool->num_threads());
     pool->ParallelForChunked(
         options.num_worlds, WorldSampler::kWorldChunk,
-        [&, table_ptr](size_t begin, size_t end, int worker) {
-          std::vector<uint8_t>& buf = bufs[worker];
-          buf.resize((end - begin) * stride);
+        [&](size_t begin, size_t end, int worker) {
           ws.SampleWorldsFrom(chunk_rngs[begin / WorldSampler::kWorldChunk],
-                              end - begin, buf.data(), stride,
+                              end - begin, table.WordsAt(begin), wpt,
                               &scratches[worker]);
-          table_ptr->PackWorlds(begin, end - begin, buf.data(), stride);
         });
   } else {
-    // Serial: sample chunk-wise into a reused byte buffer, then pack. The
-    // stream continues across chunks (no repositioning cost).
-    WorldSampler::Scratch local_scratch;
-    std::vector<uint8_t> local_rows;
-    if (scratch == nullptr) scratch = &local_scratch;
-    if (rows == nullptr) rows = &local_rows;
+    // Serial: the stream continues across chunks (no repositioning cost).
     ws.ResetCursor(scratch);
-    rows->resize(std::min(options.num_worlds, WorldSampler::kWorldChunk) *
-                 stride);
-    for (size_t w0 = 0; w0 < options.num_worlds;
-         w0 += WorldSampler::kWorldChunk) {
-      const size_t chunk =
-          std::min(WorldSampler::kWorldChunk, options.num_worlds - w0);
-      ws.SampleNext(chunk, rows->data(), stride, scratch);
-      table.PackWorlds(w0, chunk, rows->data(), stride);
-    }
+    ws.SampleNext(options.num_worlds, table.WordsAt(0), wpt, scratch);
   }
   return table;
 }

@@ -103,13 +103,16 @@ class NnTable {
     return (w[world >> 6] >> (world & 63)) & 1u;
   }
 
-  /// Scatter `count` sampled worlds — byte indicator rows as produced by
-  /// WorldSampler, world w at `is_nn + w * world_stride`, participant-major —
-  /// into the packed bitmap as worlds [first_world, first_world + count).
-  /// Writers of disjoint 64-aligned world ranges touch disjoint words, so
-  /// shards may pack concurrently when first_world is a multiple of 64.
-  void PackWorlds(size_t first_world, size_t count, const uint8_t* is_nn,
-                  size_t world_stride);
+  /// Writable bitmap words from world `first_world` (a multiple of 64) on:
+  /// the row of (objects()[i], rel tic r) starts at
+  /// WordsAt(first_world) + (i * interval().length() + r) * words_per_tic().
+  /// WorldSampler marks straight into these rows; writers of disjoint
+  /// 64-aligned world ranges touch disjoint words, so shards may fill
+  /// concurrently.
+  uint64_t* WordsAt(size_t first_world) {
+    UST_CHECK((first_world & 63) == 0 && first_world <= num_worlds_);
+    return bits_.data() + first_world / 64;
+  }
 
   /// Fraction of worlds where the object is NN at *every* tic of `tics`.
   /// `tics` must be a subset of the table interval.
@@ -157,12 +160,28 @@ class NnTable {
 /// q at each tic. ComputeNnTable and the sequential estimators
 /// (query/adaptive.h) share this machinery.
 ///
-/// Worlds are drawn participant-major in chunks: each posterior's alias
-/// tables stay cache-hot across the whole chunk instead of being re-fetched
-/// per world, and sampled states are converted to squared distances on the
-/// spot (the NN decision never materializes trajectories). Each participant
-/// owns a forked RNG stream, so the sampled worlds are independent of the
-/// chunking and of the participant interleaving.
+/// Worlds are evaluated in chunks of kWorldChunk, tic-major: every buffer of
+/// a chunk is laid out [tic][world-in-chunk], so each step of the kernel is
+/// a sweep over contiguous worlds. Per chunk:
+///   1. each participant's drawn support indices (from its alias walk, or
+///      read from a WorldArena slab row) are gathered into squared distances
+///      to q — the per-slice distance tables are precomputed — and, for
+///      k == 1, folded into the per-tic minimum (util/simd.h
+///      GatherMinDistances);
+///   2. for k > 1 the per-tic k-th smallest distance is selected;
+///   3. each (participant, tic) row compares `d <= kth` over 64 worlds at a
+///      time straight into one bitmap word (CompareLeMask).
+/// The output is the NnTable word layout itself. Each participant owns a
+/// forked RNG stream, so the sampled worlds are independent of the chunking
+/// and of the participant interleaving.
+///
+/// Word outputs: a call marking `count` worlds writes, for every
+/// participant i alive at rel tic r, words [0, ceil(count / 64)) of the row
+/// at `words + (i * interval().length() + r) * words_per_tic`, world w of
+/// the call at bit w % 64 of word w / 64; bits past `count` in the last word
+/// are zero. Rows of (participant, tic) pairs outside the participant's
+/// alive window are never written — callers hand in zeroed rows (NnTable
+/// does). `words` must sit on a 64-world boundary of the caller's table.
 ///
 /// Worlds are also *position-addressable*: world w consumes exactly one draw
 /// of each participant's stream, so InitialRngs + AdvanceWorlds rebuild the
@@ -171,16 +190,24 @@ class NnTable {
 /// across workers and still produce bit-identical tables (DESIGN.md §4).
 class WorldSampler {
  public:
-  /// Per-shard scratch: distance blocks, per-tic minima, and the advanced
-  /// RNG copies. One per worker thread; reused across calls (and across
-  /// samplers — ResetCursor rebinds it).
+  /// Per-shard scratch: the chunk's tic-major distance and index blocks, the
+  /// per-tic k-th distances, and the advanced RNG copies. One per worker
+  /// thread; reused across calls (and across samplers — ResetCursor rebinds
+  /// it).
   struct Scratch {
-    std::vector<double> dist2;        // [participant block][world][rel - rel0]
-    std::vector<double> min_scratch;  // per-(world, rel) k-th distance
-    std::vector<double> kth_scratch;  // k>1: per-tic alive distances
+    /// [participant window tic][world in chunk]; participant i's rows start
+    /// at row doff_i (the sum of the earlier alive windows).
+    std::vector<double> dist2;
+    std::vector<double> kth;    // [rel tic][world in chunk]: k-th distance
+    std::vector<double> kbest;  // k > 1: running k smallest, [j][world]
+    /// Live sampling: drawn support indices, laid out like dist2.
+    std::vector<uint32_t> draws;
+    /// Per participant: its first support-index row of the chunk.
+    std::vector<const uint32_t*> index_rows;
+    /// Chunk-local word table of callers that count hits per chunk instead
+    /// of keeping an NnTable (the sequential estimators, SampleWorlds).
+    std::vector<uint64_t> words;
     std::vector<Rng> rngs;            // per-participant stream positions
-    /// EvalArenaWorlds: resolved per-participant arena slab pointers.
-    std::vector<const uint32_t*> arena_slabs;
     /// Id of the sampler the cursor is positioned on (0 = none). An id, not
     /// a pointer: ids are never reused, so a scratch outliving its sampler
     /// cannot false-match a new sampler allocated at the same address.
@@ -195,10 +222,11 @@ class WorldSampler {
                                      const TimeInterval& T, int k,
                                      uint64_t seed);
 
-  /// Samples `count` worlds continuing the sampler's own stream; world w's
-  /// marks go to `is_nn + w * world_stride` (participant-major row, size
-  /// num_participants() * interval().length(); layout as
-  /// MarkNearestNeighbors). Allocation-free in steady state.
+  /// Samples `count` worlds continuing the sampler's own stream and unpacks
+  /// their marks to bytes: world w's row goes to `is_nn + w * world_stride`
+  /// (participant-major, size num_participants() * interval().length(),
+  /// layout as MarkNearestNeighbors). A thin wrapper over the word kernel
+  /// for byte-oriented reference callers.
   void SampleWorlds(size_t count, uint8_t* is_nn, size_t world_stride);
 
   /// Samples the next single world (SampleWorlds of count 1).
@@ -215,10 +243,12 @@ class WorldSampler {
   static void AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds);
 
   /// Sample `count` worlds starting from explicit stream states (as built by
-  /// InitialRngs + AdvanceWorlds). `rng_starts` is not modified; the cursor
-  /// advances in `scratch`. Safe concurrently with distinct scratches.
+  /// InitialRngs + AdvanceWorlds) and mark them into `words` (class
+  /// comment). `rng_starts` is not modified; the cursor advances in
+  /// `scratch`. Safe concurrently with distinct scratches and disjoint
+  /// words.
   void SampleWorldsFrom(const std::vector<Rng>& rng_starts, size_t count,
-                        uint8_t* is_nn, size_t world_stride,
+                        uint64_t* words, size_t words_per_tic,
                         Scratch* scratch) const;
 
   /// Rewind `scratch`'s cursor to this sampler's world 0. Required before
@@ -231,7 +261,7 @@ class WorldSampler {
   /// where the previous one left off (no repositioning cost). Streams are
   /// tracked in `scratch`, so distinct scratches hold independent cursors
   /// over the same sampler.
-  void SampleNext(size_t count, uint8_t* is_nn, size_t world_stride,
+  void SampleNext(size_t count, uint64_t* words, size_t words_per_tic,
                   Scratch* scratch) const;
 
   /// True when `arena` realizes every alive participant of this sampler over
@@ -239,16 +269,16 @@ class WorldSampler {
   /// the arena's responsibility — this checks object coverage and windows).
   bool CoveredBy(const WorldArena& arena) const;
 
-  /// Evaluate worlds [first_world, first_world + count) against `arena`
-  /// instead of sampling them: per-world marks are bit-identical to
-  /// Sample* of the same worlds (the arena stores the very state indices
-  /// the batch walk would have produced), but the alias-walk cost is gone —
-  /// only distance lookups and the NN reduction remain. Requires
-  /// CoveredBy(arena) and first_world + count <= arena.num_worlds().
-  /// Output layout matches SampleWorldsFrom; safe concurrently with
-  /// distinct scratches.
+  /// Evaluate arena worlds [first_world, first_world + count) instead of
+  /// sampling them, marking them as worlds [0, count) of `words`: the marks
+  /// are bit-identical to Sample* of the same worlds (the arena stores the
+  /// very support indices the batch walk would have produced, and both feed
+  /// the same kernel), but the alias-walk cost is gone. Requires
+  /// CoveredBy(arena) and first_world + count <= arena.num_worlds(). Safe
+  /// concurrently with
+  /// distinct scratches and disjoint words.
   void EvalArenaWorlds(const WorldArena& arena, size_t first_world,
-                       size_t count, uint8_t* is_nn, size_t world_stride,
+                       size_t count, uint64_t* words, size_t words_per_tic,
                        Scratch* scratch) const;
 
   size_t num_participants() const { return participants_.size(); }
@@ -258,6 +288,8 @@ class WorldSampler {
   /// Worlds per sampling chunk. Shard boundaries must be multiples of this
   /// (it is a multiple of 64, so packed-bitmap words never straddle shards).
   static constexpr size_t kWorldChunk = 512;
+  /// Bitmap words of one full chunk.
+  static constexpr size_t kChunkWords = kWorldChunk / 64;
 
  private:
   struct Participant {
@@ -266,7 +298,7 @@ class WorldSampler {
     bool alive;        // alive at some tic of T
     uint32_t rel0 = 0; // ws - T.start
     uint32_t wlen = 0; // window length in tics
-    size_t doff = 0;   // block offset into dist2, in per-world doubles
+    size_t doff = 0;   // first row of this participant's dist2/draws block
     Rng rng0{0};       // stream state at world 0 (never advanced)
     // Precomputed per-slice distances to q: dtab_[dbase + dtab_off[r] + j]
     // is the squared distance of support state j (slice ws + r) to q(ws+r).
@@ -274,17 +306,24 @@ class WorldSampler {
     std::vector<uint32_t> dtab_off;  // size wlen + 1
   };
 
-  /// Shared core of both entry points: samples `count` worlds advancing
-  /// `rngs` (aligned with participants), writing marks through `is_nn`.
-  void SampleCore(size_t count, uint8_t* is_nn, size_t world_stride, Rng* rngs,
-                  Scratch* scratch) const;
+  /// Live sampling of `count` worlds advancing `rngs` (aligned with
+  /// participants): each chunk's alias walks write their support indices
+  /// into scratch->draws, then MarkChunk evaluates them.
+  void SampleCore(size_t count, uint64_t* words, size_t words_per_tic,
+                  Rng* rngs, Scratch* scratch) const;
 
-  /// Phase 2 + marking of one chunk: turns the distance blocks and (k == 1)
-  /// folded minima already in `scratch` into indicator rows for worlds
-  /// [row0, row0 + chunk) of `is_nn`. Shared by the sampling and the
-  /// arena-evaluation paths — identical bytes by construction.
-  void ReduceChunk(size_t row0, size_t chunk, uint8_t* is_nn,
-                   size_t world_stride, Scratch* scratch) const;
+  /// The world-evaluation kernel of one chunk, shared by the sampling and
+  /// the arena paths (identical words by construction). Participant i's
+  /// support indices at window tic r are the `chunk` contiguous values at
+  /// scratch->index_rows[i] + index_offset + r * index_stride. Marks the
+  /// chunk's worlds as worlds [0, chunk) of `words`.
+  void MarkChunk(size_t index_offset, size_t index_stride, size_t chunk,
+                 uint64_t* words, size_t words_per_tic,
+                 Scratch* scratch) const;
+
+  /// k > 1: scratch->kth[rel] = the k-th smallest of the participants'
+  /// distances at each tic (all of them when fewer than k are alive).
+  void SelectKth(size_t chunk, Scratch* scratch) const;
 
   std::vector<ObjectId> participants_;
   std::vector<Participant> resolved_;
@@ -316,17 +355,16 @@ Result<NnTable> ComputeNnTable(const DbSnapshot& db,
                                ThreadPool* pool = nullptr);
 
 /// \brief ComputeNnTable with caller-owned scratch: on the serial path
-/// (no pool, or num_worlds within one chunk) `scratch` and `rows` (the byte
-/// staging buffer) are reused across calls, so a session running many
-/// queries allocates the sampling scratch once per worker lane instead of
-/// once per query. The world-sharded path allocates its per-worker scratch
-/// internally (amortized over the multi-chunk sampling it implies). Either
-/// pointer may be nullptr (private locals are used). The result is
-/// identical to ComputeNnTable.
+/// (no pool, or num_worlds within one chunk) `scratch` is reused across
+/// calls, so a session running many queries allocates the sampling scratch
+/// once per worker lane instead of once per query. The world-sharded path
+/// allocates its per-worker scratch internally (amortized over the
+/// multi-chunk sampling it implies). `scratch` may be nullptr (a private
+/// local is used). The result is identical to ComputeNnTable.
 ///
 /// When `arena` is non-null, covers this query's (interval, seed,
 /// num_worlds) and all alive participants, the worlds are *evaluated*
-/// against the arena instead of sampled — same bytes, no alias walk — and
+/// against the arena instead of sampled — same words, no alias walk — and
 /// `*used_arena` (if given) is set to true. Otherwise the call falls back
 /// to live sampling and sets `*used_arena` to false; the result is
 /// identical either way.
@@ -334,8 +372,8 @@ Result<NnTable> ComputeNnTableScratch(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const QueryTrajectory& q, const TimeInterval& T,
     const MonteCarloOptions& options, ThreadPool* pool,
-    WorldSampler::Scratch* scratch, std::vector<uint8_t>* rows,
-    const WorldArena* arena = nullptr, bool* used_arena = nullptr);
+    WorldSampler::Scratch* scratch, const WorldArena* arena = nullptr,
+    bool* used_arena = nullptr);
 
 /// \brief Per-object probability estimates for the P∃NNQ / P∀NNQ queries.
 struct PnnEstimate {

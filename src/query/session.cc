@@ -303,6 +303,12 @@ QueryOutcome QuerySession::RunOne(const QuerySpec& spec,
                                   ExecScratch* scratch) const {
   QueryOutcome out;
   out.kind = spec.kind;
+  // Every backend assumes k >= 1 (the exact kernel asserts it): reject a
+  // client's k < 1 here, before pruning or planning can route it anywhere.
+  if (spec.mc.k < 1) {
+    out.status = Status::InvalidArgument("k must be >= 1");
+    return out;
+  }
   if (spec.kind == QueryKind::kContinuous) {
     RunContinuous(spec, slab, world_pool, scratch, &out);
   } else {
@@ -369,8 +375,7 @@ void QuerySession::RunPnn(const QuerySpec& spec, const UstTree::TimeSlab* slab,
   }
   ExecContext ctx;
   ctx.pool = world_pool;
-  ctx.sampler_scratch = &scratch->sampler;
-  ctx.row_buffer = &scratch->rows;
+  ctx.sampler_scratch = scratch;
   ctx.worlds_used = &out->worlds_used;
   ctx.early_stopped = &out->early_stopped;
   // Monte-Carlo specs consult the session's shared arena; the shared_ptr
@@ -439,8 +444,8 @@ void QuerySession::RunContinuous(const QuerySpec& spec,
       ArenaFor(spec.T, spec.mc.seed, spec.mc.num_worlds, world_pool);
   bool used_arena = false;
   auto table = ComputeNnTableScratch(db_, pruned.influencers, spec.q, spec.T,
-                                     spec.mc, world_pool, &scratch->sampler,
-                                     &scratch->rows, arena.get(), &used_arena);
+                                     spec.mc, world_pool, scratch, arena.get(),
+                                     &used_arena);
   if (!table.ok()) {
     out->status = table.status();
     return;

@@ -169,14 +169,11 @@ struct SessionOptions {
 class QuerySession {
  public:
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
-  /// world-sampler buffers + the byte staging rows. A serving-tier lane owns
-  /// one and reuses it across every morsel, group and session it executes —
-  /// scratch is session-portable by construction (the sampler cursor rebinds
-  /// per query).
-  struct ExecScratch {
-    WorldSampler::Scratch sampler;
-    std::vector<uint8_t> rows;
-  };
+  /// the world-sampler buffers. A serving-tier lane owns one and reuses it
+  /// across every morsel, group and session it executes — scratch is
+  /// session-portable by construction (the sampler cursor rebinds per
+  /// query).
+  using ExecScratch = WorldSampler::Scratch;
 
   explicit QuerySession(DbSnapshot db, const UstTree* index = nullptr,
                         SessionOptions options = {});

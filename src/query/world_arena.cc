@@ -58,12 +58,11 @@ Result<WorldArena> WorldArena::Build(const DbSnapshot& db,
   auto fill = [&arena, &models, seed, num_worlds](size_t i) {
     const Entry& e = arena.entries_[i];
     uint32_t* slab = arena.slab_.data() + e.slab_off;
-    const uint32_t wlen = e.wlen;
     Rng rng(WorldStreamSeed(seed, e.id));
     models[i]->SampleWindowBatchVisit(
         e.ws, e.we, num_worlds, rng,
-        [slab, wlen](size_t w, size_t rel, uint32_t local, StateId) {
-          slab[w * wlen + rel] = local;
+        [slab, num_worlds](size_t w, size_t rel, uint32_t local, StateId) {
+          slab[rel * num_worlds + w] = local;
         });
   };
   if (pool != nullptr && pool->num_threads() > 1 && arena.entries_.size() > 1) {

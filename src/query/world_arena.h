@@ -5,12 +5,16 @@
 // the NnTable reductions depend on q — so a session serving many specs over
 // the same (interval, seed, num_worlds) resamples the exact same
 // trajectories per spec. The arena materializes them once: for every object
-// alive within T, a participant-major SoA slab of sampled *support indices*
-// (`slab[w * wlen + rel]` = index into SliceAt(ws + rel).support), drawn
-// from the object's id-keyed stream (WorldStreamSeed). Because streams are
-// keyed by object id, not by participant position, the slab holds exactly
-// the indices any spec's batch walk would have produced — a spec over any
-// pruned subset of the arena's objects evaluates bit-identically against it
+// alive within T, a tic-major SoA slab of sampled *support indices*
+// (`slab[rel * num_worlds + w]` = index into SliceAt(ws + rel).support),
+// drawn from the object's id-keyed stream (WorldStreamSeed). Tic-major rows
+// are what the world-evaluation kernel sweeps: one row is the object's
+// draws at one tic over contiguous worlds, so a chunk of worlds reads a
+// contiguous run of each row, and a spec wanting fewer worlds than the arena
+// holds reads a prefix of every row. Because streams are keyed by object id,
+// not by participant position, the slab holds exactly the indices any
+// spec's batch walk would have produced — a spec over any pruned subset of
+// the arena's objects evaluates bit-identically against it
 // (WorldSampler::EvalArenaWorlds).
 //
 // Slabs store support indices, not distances: indices are q-independent
@@ -38,7 +42,7 @@ class WorldArena {
     ObjectId id = 0;
     Tic ws = 0, we = 0;    // sampling window = alive span ∩ T
     uint32_t wlen = 0;     // we - ws + 1
-    size_t slab_off = 0;   // into slab(): [world][rel], world-major
+    size_t slab_off = 0;   // into slab(): [rel][world], tic-major
   };
 
   /// Sample `num_worlds` worlds of every object of `objects` alive within

@@ -79,6 +79,27 @@ uint64_t OrRowsScalar(const uint64_t* const* rows, size_t num_rows,
   return sum;
 }
 
+void GatherMinScalar(const double* table, const uint32_t* idx, size_t n,
+                     double* out, double* mins) {
+  for (size_t i = 0; i < n; ++i) {
+    const double d = table[idx[i]];
+    out[i] = d;
+    if (mins != nullptr && d < mins[i]) mins[i] = d;
+  }
+}
+
+void CompareLeMaskScalar(const double* a, const double* b, size_t n,
+                         uint64_t* words) {
+  for (size_t w0 = 0; w0 < n; w0 += 64) {
+    const size_t m = n - w0 < 64 ? n - w0 : 64;
+    uint64_t word = 0;
+    for (size_t i = 0; i < m; ++i) {
+      word |= static_cast<uint64_t>(a[w0 + i] <= b[w0 + i]) << i;
+    }
+    words[w0 / 64] = word;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 kernels (x86-64). Compiled with a per-function target attribute so
 // the translation unit builds on any x86-64 toolchain; the functions are
@@ -201,6 +222,54 @@ __attribute__((target("avx2"))) uint64_t OrRowsAvx2(
   return sum;
 }
 
+// vgatherdpd with an all-lanes mask (the masked form: the unmasked
+// intrinsic's undefined source trips -Wmaybe-uninitialized on gcc 12).
+__attribute__((target("avx2"))) inline __m256d Gather4(const double* table,
+                                                      const uint32_t* idx) {
+  const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx));
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), table, vi, all, 8);
+}
+
+// vgatherdpd + vminpd. min_pd(d, m) returns m unless d < m — exactly the
+// scalar `if (d < m) m = d`, so the minima are the same doubles.
+__attribute__((target("avx2"))) void GatherMinAvx2(const double* table,
+                                                   const uint32_t* idx,
+                                                   size_t n, double* out,
+                                                   double* mins) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d d = Gather4(table, idx + i);
+    _mm256_storeu_pd(out + i, d);
+    if (mins != nullptr) {
+      _mm256_storeu_pd(mins + i, _mm256_min_pd(d, _mm256_loadu_pd(mins + i)));
+    }
+  }
+  if (i < n) {
+    GatherMinScalar(table, idx + i, n - i, out + i,
+                    mins != nullptr ? mins + i : nullptr);
+  }
+}
+
+// vcmppd (ordered <=, false on NaN like the scalar `<=`) + vmovmskpd: four
+// worlds per compare, sixteen compares per word.
+__attribute__((target("avx2"))) void CompareLeMaskAvx2(const double* a,
+                                                       const double* b,
+                                                       size_t n,
+                                                       uint64_t* words) {
+  size_t w0 = 0;
+  for (; w0 + 64 <= n; w0 += 64) {
+    uint64_t word = 0;
+    for (size_t i = 0; i < 64; i += 4) {
+      const __m256d le = _mm256_cmp_pd(_mm256_loadu_pd(a + w0 + i),
+                                       _mm256_loadu_pd(b + w0 + i), _CMP_LE_OQ);
+      word |= static_cast<uint64_t>(_mm256_movemask_pd(le)) << i;
+    }
+    words[w0 / 64] = word;
+  }
+  if (w0 < n) CompareLeMaskScalar(a + w0, b + w0, n - w0, words + w0 / 64);
+}
+
 #endif  // UST_SIMD_HAVE_AVX2_KERNELS
 
 // ---------------------------------------------------------------------------
@@ -290,22 +359,29 @@ struct KernelTable {
   uint64_t (*popcount)(const uint64_t*, size_t);
   uint64_t (*and_rows)(const uint64_t* const*, size_t, size_t);
   uint64_t (*or_rows)(const uint64_t* const*, size_t, size_t);
+  void (*gather_min)(const double*, const uint32_t*, size_t, double*,
+                     double*);
+  void (*compare_le_mask)(const double*, const double*, size_t, uint64_t*);
   SimdLevel level;
 };
 
-constexpr KernelTable kScalarTable = {AndPopcountScalar, OrPopcountScalar,
-                                      PopcountScalar,    AndRowsScalar,
-                                      OrRowsScalar,      SimdLevel::kScalar};
+constexpr KernelTable kScalarTable = {
+    AndPopcountScalar, OrPopcountScalar,    PopcountScalar,
+    AndRowsScalar,     OrRowsScalar,        GatherMinScalar,
+    CompareLeMaskScalar, SimdLevel::kScalar};
 
 #if UST_SIMD_HAVE_AVX2_KERNELS
-constexpr KernelTable kAvx2Table = {AndPopcountAvx2, OrPopcountAvx2,
-                                    PopcountAvx2,    AndRowsAvx2,
-                                    OrRowsAvx2,      SimdLevel::kAvx2};
+constexpr KernelTable kAvx2Table = {
+    AndPopcountAvx2, OrPopcountAvx2,    PopcountAvx2,
+    AndRowsAvx2,     OrRowsAvx2,        GatherMinAvx2,
+    CompareLeMaskAvx2, SimdLevel::kAvx2};
 #endif
 #if UST_SIMD_HAVE_NEON_KERNELS
-constexpr KernelTable kNeonTable = {AndPopcountNeon, OrPopcountNeon,
-                                    PopcountNeon,    AndRowsNeon,
-                                    OrRowsNeon,      SimdLevel::kNeon};
+// NEON has no gather; the distance kernels run the scalar reference there.
+constexpr KernelTable kNeonTable = {
+    AndPopcountNeon, OrPopcountNeon,    PopcountNeon,
+    AndRowsNeon,     OrRowsNeon,        GatherMinScalar,
+    CompareLeMaskScalar, SimdLevel::kNeon};
 #endif
 
 const KernelTable* TableFor(SimdLevel level) {
@@ -395,6 +471,18 @@ uint64_t OrRowsPopcount(const uint64_t* const* rows, size_t num_rows,
   if (num_rows == 0) return 0;
   return ActiveTable().load(std::memory_order_acquire)
       ->or_rows(rows, num_rows, n);
+}
+
+void GatherMinDistances(const double* table, const uint32_t* idx, size_t n,
+                        double* out, double* mins) {
+  ActiveTable().load(std::memory_order_acquire)
+      ->gather_min(table, idx, n, out, mins);
+}
+
+void CompareLeMask(const double* a, const double* b, size_t n,
+                   uint64_t* words) {
+  ActiveTable().load(std::memory_order_acquire)
+      ->compare_le_mask(a, b, n, words);
 }
 
 }  // namespace ust

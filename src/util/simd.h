@@ -1,7 +1,11 @@
-// Runtime-dispatched vector kernels for the word-packed world-set
-// reductions (NnTable / Pcnn). The kernels are pure popcount folds over
-// uint64 words, so every implementation returns the exact same integer —
-// dispatch is a performance decision, never a numerical one.
+// Runtime-dispatched vector kernels for the Monte-Carlo world evaluation:
+// the distance gather + per-tic minimum fold and the compare-to-word marking
+// that fill NnTable bitmaps, and the word-packed world-set reductions
+// (NnTable / Pcnn) that read them. The reductions are pure popcount folds
+// over uint64 words; the distance kernels copy, min and compare doubles
+// without arithmetic. Every implementation therefore returns the exact same
+// integers, doubles and words — dispatch is a performance decision, never a
+// numerical one.
 //
 // Dispatch policy (DESIGN.md section 7.3): the best level supported by the
 // running CPU is detected once, on first use, and cached in a function-table
@@ -56,5 +60,16 @@ uint64_t AndRowsPopcount(const uint64_t* const* rows, size_t num_rows,
 /// Multi-row OR fold, popcounted. num_rows == 0 returns 0.
 uint64_t OrRowsPopcount(const uint64_t* const* rows, size_t num_rows,
                         size_t n);
+
+/// out[i] = table[idx[i]] for i < n (the distance gather of one
+/// (participant, tic) row of worlds). When `mins` is non-null, also folds
+/// mins[i] = (out[i] < mins[i]) ? out[i] : mins[i] — the per-tic minimum.
+void GatherMinDistances(const double* table, const uint32_t* idx, size_t n,
+                        double* out, double* mins);
+
+/// Packs the predicate a[i] <= b[i], i < n, into ceil(n / 64) words: i maps
+/// to bit i % 64 of words[i / 64]; bits at or past n in the last word are 0.
+void CompareLeMask(const double* a, const double* b, size_t n,
+                   uint64_t* words);
 
 }  // namespace ust

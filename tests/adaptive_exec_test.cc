@@ -13,6 +13,7 @@
 #include "gen/synthetic.h"
 #include "gen/workload.h"
 #include "index/ust_tree.h"
+#include "query/executor.h"
 #include "query/monte_carlo.h"
 #include "query/session.h"
 #include "server/query_server.h"
@@ -313,6 +314,54 @@ TEST_F(AdaptiveExecTest, PlannerCrossoverShiftsWithExpectedWorlds) {
   ASSERT_TRUE(after.status.ok());
   EXPECT_EQ(after.executor, ExecutorKind::kMonteCarlo);
   EXPECT_TRUE(after.early_stopped);
+}
+
+TEST_F(AdaptiveExecTest, FailedEstimateReportsNoWorlds) {
+  // A Monte-Carlo estimate that fails before drawing a world must not report
+  // worlds it never drew: the serving tier adds worlds_used to its
+  // worlds_sampled tally for every outcome. Here the query trajectory covers
+  // only the first tic of T, so WorldSampler::Create rejects the task.
+  const std::vector<ObjectId> participants =
+      db().AliveSometime(T_.start, T_.end);
+  ASSERT_FALSE(participants.empty());
+  const std::vector<ObjectId> targets = {participants[0]};
+  const QueryTrajectory q = QueryTrajectory::FromPoints(T_.start, {{0, 0}});
+  DbSnapshot snapshot = db().Snapshot();
+  for (PrecisionMode mode :
+       {PrecisionMode::kFixedWorlds, PrecisionMode::kThreshold}) {
+    PnnTask task;
+    task.db = &snapshot;
+    task.participants = &participants;
+    task.targets = &targets;
+    task.q = &q;
+    task.T = T_;
+    task.mc.num_worlds = 1000;
+    task.precision.mode = mode;
+    task.tau = 0.5;
+    size_t worlds_used = 0;
+    bool early_stopped = false;
+    ExecContext ctx;
+    ctx.worlds_used = &worlds_used;
+    ctx.early_stopped = &early_stopped;
+    auto estimates = GetExecutor(ExecutorKind::kMonteCarlo).Estimate(task, ctx);
+    ASSERT_FALSE(estimates.ok());
+    EXPECT_EQ(estimates.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(worlds_used, 0u) << static_cast<int>(mode);
+    EXPECT_FALSE(early_stopped);
+  }
+  // The same through a session: a reversed interval passes the index-free
+  // pruning and fails in the sampler, and its outcome reports no worlds.
+  QuerySession session(db(), nullptr);
+  QuerySpec spec = MakeAdaptiveSpecs(1)[0];
+  spec.T = TimeInterval{T_.end, T_.start};
+  for (PrecisionMode mode :
+       {PrecisionMode::kFixedWorlds, PrecisionMode::kThreshold}) {
+    spec.precision.mode = mode;
+    const QueryOutcome out = session.Run(spec);
+    EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out.worlds_used, 0u) << static_cast<int>(mode);
+    EXPECT_FALSE(out.early_stopped);
+  }
 }
 
 }  // namespace

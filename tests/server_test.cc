@@ -475,6 +475,46 @@ TEST_F(ServerTest, ServerMatchesSerialRunAllAtTwoLanesFourClients) {
   EXPECT_GE(stats.lane_queue_peak, 1u);
 }
 
+TEST_F(ServerTest, ZeroKIsRejectedAndTheServerKeepsServing) {
+  // k = 0 over a short interval (T_ spans 6 tics, within the planner's
+  // enumeration bound) used to reach the exact kernel's k >= 1 assertion
+  // and abort the process. It must come back as kInvalidArgument — planned
+  // or forced onto enumeration — while the lanes keep serving.
+  Rng rng(17);
+  QuerySpec planned;
+  planned.kind = QueryKind::kForall;
+  planned.q = RandomQueryState(*world_->space, rng);
+  planned.T = T_;
+  planned.mc.k = 0;
+  planned.mc.num_worlds = 300;
+  QuerySpec forced = planned;
+  forced.backend = ExecutorKind::kExact;
+  const std::vector<QuerySpec> specs = MakeSpecs(6);
+  const std::vector<QueryOutcome> expected =
+      QuerySession(db(), index_.get()).RunAll(specs);
+
+  ServerOptions options;
+  options.lanes = 2;
+  QueryServer server(db(), index_.get(), options);
+  for (const QuerySpec& bad : {planned, forced}) {
+    const QueryOutcome out = server.Submit(bad).get();
+    EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(out.worlds_used, 0u);
+  }
+  std::vector<std::future<QueryOutcome>> futures;
+  for (const QuerySpec& spec : specs) futures.push_back(server.Submit(spec));
+  uint64_t worlds = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const QueryOutcome out = futures[i].get();
+    ASSERT_TRUE(out.status.ok()) << "request " << i;
+    EXPECT_TRUE(SameOutcome(out, expected[i])) << "request " << i;
+    worlds += out.worlds_used;
+  }
+  server.Stop();
+  // The rejected specs drew no worlds and reported none.
+  EXPECT_EQ(server.Stats().worlds_sampled(), worlds);
+}
+
 TEST_F(ServerTest, StopDrainsEveryAdmittedRequest) {
   const std::vector<QuerySpec> specs = MakeSpecs(10);
   ServerOptions options;

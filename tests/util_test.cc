@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "util/aligned.h"
 #include "util/csv.h"
@@ -343,6 +344,75 @@ TEST(SimdTest, KernelsBitwiseEqualAcrossLevels) {
     EXPECT_EQ(OrPopcountWords(a.data(), b.data(), n), or_s) << n;
     EXPECT_EQ(AndRowsPopcount(rows.data(), rows.size(), n), andr_s) << n;
     EXPECT_EQ(OrRowsPopcount(rows.data(), rows.size(), n), orr_s) << n;
+  }
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(SimdTest, DistanceKernelsBitwiseEqualAcrossLevels) {
+  // The gather-min and compare-to-mask kernels copy, min and compare doubles
+  // without arithmetic: every level must produce the same doubles and the
+  // same words, over ragged lengths around the 4-lane and 64-bit seams.
+  // Coarse values make ties common; signed zeros probe the min's tie rule.
+  Rng rng(99);
+  std::vector<double> table(48);
+  for (size_t i = 0; i < table.size(); ++i) {
+    table[i] = static_cast<double>(rng() % 7) * 0.5;
+  }
+  table[3] = -0.0;
+  table[5] = 0.0;
+  for (size_t n : {0u, 1u, 3u, 4u, 5u, 63u, 64u, 65u, 127u, 128u, 200u,
+                   512u}) {
+    std::vector<uint32_t> idx(n);
+    std::vector<double> base_mins(n), thresh(n);
+    for (size_t i = 0; i < n; ++i) {
+      idx[i] = static_cast<uint32_t>(rng() % table.size());
+      base_mins[i] = i % 5 == 0 ? std::numeric_limits<double>::infinity()
+                                : table[rng() % table.size()];
+      thresh[i] = table[rng() % table.size()];
+    }
+    const size_t num_words = (n + 63) / 64;
+    struct Run {
+      std::vector<double> out, mins, out_nomin;
+      std::vector<uint64_t> words;
+    };
+    auto run = [&] {
+      Run r;
+      r.out.assign(n, -1.0);
+      r.out_nomin.assign(n, -1.0);
+      r.mins = base_mins;
+      r.words.assign(num_words, ~uint64_t{0});
+      GatherMinDistances(table.data(), idx.data(), n, r.out.data(),
+                         r.mins.data());
+      GatherMinDistances(table.data(), idx.data(), n, r.out_nomin.data(),
+                         nullptr);
+      CompareLeMask(r.out.data(), thresh.data(), n, r.words.data());
+      return r;
+    };
+    ASSERT_TRUE(ForceSimdLevel(SimdLevel::kScalar));
+    const Run scalar = run();
+    ASSERT_TRUE(ForceSimdLevel(DetectSimdLevel()));
+    const Run active = run();
+    for (size_t i = 0; i < n; ++i) {
+      // The scalar reference itself against the contract.
+      const double d = table[idx[i]];
+      ASSERT_EQ(std::memcmp(&scalar.out[i], &d, sizeof(d)), 0) << n;
+      const double m = d < base_mins[i] ? d : base_mins[i];
+      ASSERT_EQ(std::memcmp(&scalar.mins[i], &m, sizeof(m)), 0) << n;
+      const bool bit = (scalar.words[i / 64] >> (i % 64)) & 1u;
+      ASSERT_EQ(bit, d <= thresh[i]) << n << " " << i;
+    }
+    if (n % 64 != 0) {
+      EXPECT_EQ(scalar.words.back() >> (n % 64), 0u) << n;  // zero tail
+    }
+    EXPECT_TRUE(SameBits(active.out, scalar.out)) << n;
+    EXPECT_TRUE(SameBits(active.out_nomin, scalar.out)) << n;
+    EXPECT_TRUE(SameBits(active.mins, scalar.mins)) << n;
+    EXPECT_EQ(active.words, scalar.words) << n;
   }
 }
 
