@@ -23,12 +23,12 @@
 // The *skewed* phase (PR 5) measures the morsel scheduler: interval
 // popularity follows a Zipf-ish law (weight of interval k ∝ (k+1)^-skew),
 // so one hot (epoch, interval) group dominates every batch. The stream runs
-// at --lanes lanes twice — group-granularity scheduling (steal=off: the hot
-// group serializes on one lane while the others idle) vs morsel scheduling
-// with work stealing (steal=on: idle lanes steal half-ranges of the hot
-// group) — and reports p99_skew_nosteal vs p99_skew_steal plus their ratio
-// `steal_speedup` (the tentpole metric of PR 5: ≈1 on a single hardware
-// core, ≥1.3 expected on multi-core).
+// at --lanes lanes twice through the morsel scheduler — without stealing
+// (steal=off: the hot group's morsels all run on the lane that adopted it
+// while the others idle) and with it (steal=on: idle lanes steal
+// half-ranges of the hot group) — and reports p99_skew_nosteal vs
+// p99_skew_steal plus their ratio `steal_speedup` (≈1 on a single hardware
+// core; on 4 vCPU the run-to-run spread swamps the ratio, see ROADMAP).
 //
 // The *adaptive* phase (PR 7, --adaptive {on,off}) serves the mixed stream
 // re-cast as tau = 0.5 threshold decisions under an oversized
@@ -44,7 +44,7 @@
 // All server outcomes are checked bit-identical to direct_runall (the PR 2
 // determinism contract extended across the admission queue, the lane pool
 // and any morsel/steal schedule). Emits BENCH_server.json (qps of each
-// mode, speedups, p50/p99 latency per lane count and per skew scheduler) so
+// mode, speedups, p50/p99 latency per lane count and per steal setting) so
 // serving throughput is tracked machine-readably across PRs.
 //
 // Flags (defaults sized for a single CI core):
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
     run.stats = server.Stats();
 
     // The serving tier is the batch pipeline behind a queue, a lane pool
-    // and (steal mode) any morsel schedule: outcomes must agree bit for
+    // and any morsel/steal schedule: outcomes must agree bit for
     // bit with the direct RunAll reference.
     for (size_t i = 0; i < n_stream; ++i) {
       CheckSameOutcome(results[i], reference[i]);
@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
     CheckSameOutcome(runall_results[i], cold_results[i]);
   }
 
-  // ---- Mode 4: the skewed stream — group scheduler vs morsel stealing. --
+  // ---- Mode 4: the skewed stream — morsels without vs with stealing. ---
   // Interval popularity is Zipf-ish (weight of interval k ∝ (k+1)^-skew):
   // most specs land on interval 0, so every micro-batch is dominated by one
   // hot (epoch, interval) group. Without stealing that group serializes on
@@ -495,7 +495,7 @@ int main(int argc, char** argv) {
 
   const double p99_skew_nosteal = p_ms(skew_nosteal, 0.99);
   const double p99_skew_steal = p_ms(skew_steal, 0.99);
-  // p99 ratio of the two schedulers on the skewed stream: > 1 means
+  // p99 ratio of the two steal settings on the skewed stream: > 1 means
   // stealing flattened the hot group's tail. Direction-aware gate: "down".
   const double steal_speedup = p99_skew_steal > 0.0
                                    ? p99_skew_nosteal / p99_skew_steal

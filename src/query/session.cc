@@ -297,18 +297,38 @@ void QuerySession::RunMorsel(const std::vector<QuerySpec>& specs,
   }
 }
 
+Status ValidateSpec(const QuerySpec& spec) {
+  // Every backend assumes k >= 1 (the exact kernel asserts it).
+  if (spec.mc.k < 1) return Status::InvalidArgument("k must be >= 1");
+  // A reversed interval wraps T.length() into a huge size_t.
+  if (!spec.T.valid()) {
+    return Status::InvalidArgument("query interval has start > end");
+  }
+  // The negated range tests reject NaN too.
+  if (!(spec.tau >= 0.0 && spec.tau <= 1.0)) {
+    return Status::InvalidArgument("tau must lie in [0, 1]");
+  }
+  if (spec.precision.mode != PrecisionMode::kFixedWorlds) {
+    if (!(spec.precision.epsilon > 0.0 && spec.precision.epsilon < 1.0)) {
+      return Status::InvalidArgument("epsilon must lie in (0, 1)");
+    }
+    if (!(spec.precision.delta > 0.0 && spec.precision.delta < 1.0)) {
+      return Status::InvalidArgument("delta must lie in (0, 1)");
+    }
+  }
+  return Status::OK();
+}
+
 QueryOutcome QuerySession::RunOne(const QuerySpec& spec,
                                   const UstTree::TimeSlab* slab,
                                   ThreadPool* world_pool,
                                   ExecScratch* scratch) const {
   QueryOutcome out;
   out.kind = spec.kind;
-  // Every backend assumes k >= 1 (the exact kernel asserts it): reject a
-  // client's k < 1 here, before pruning or planning can route it anywhere.
-  if (spec.mc.k < 1) {
-    out.status = Status::InvalidArgument("k must be >= 1");
-    return out;
-  }
+  // Reject malformed client input here, before pruning or planning can
+  // route it to a backend that assumes it away.
+  out.status = ValidateSpec(spec);
+  if (!out.status.ok()) return out;
   if (spec.kind == QueryKind::kContinuous) {
     RunContinuous(spec, slab, world_pool, scratch, &out);
   } else {

@@ -106,6 +106,14 @@ struct QuerySpec {
   int priority = 0;
 };
 
+/// \brief Reject a spec no backend can evaluate: k < 1, a reversed interval
+/// (T.start > T.end), a tau that is NaN or outside [0, 1], or — unless the
+/// precision mode is kFixedWorlds — an epsilon or delta that is NaN or
+/// outside (0, 1). kInvalidArgument names the first offending field; OK
+/// otherwise. QuerySession applies it to every spec before pruning or
+/// planning, so client input can never reach a backend's assertions.
+Status ValidateSpec(const QuerySpec& spec);
+
 /// \brief Per-query outcome. `status` isolates failures: one malformed query
 /// does not abort the batch.
 struct QueryOutcome {

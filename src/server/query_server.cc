@@ -27,86 +27,6 @@ SessionOptions MakeSessionOptions(const ServerOptions& options) {
   return session_options;
 }
 
-void AddCounterSample(std::vector<MetricSample>* samples, const char* name,
-                      uint64_t value) {
-  MetricSample sample;
-  sample.name = name;
-  sample.kind = MetricSample::Kind::kCounter;
-  sample.counter = value;
-  samples->push_back(std::move(sample));
-}
-
-void AddGaugeSample(std::vector<MetricSample>* samples, const char* name,
-                    int64_t value) {
-  MetricSample sample;
-  sample.name = name;
-  sample.kind = MetricSample::Kind::kGauge;
-  sample.gauge = value;
-  samples->push_back(std::move(sample));
-}
-
-void AddHistogramSample(std::vector<MetricSample>* samples, const char* name,
-                        const LatencyHistogram& histogram) {
-  MetricSample sample;
-  sample.name = name;
-  sample.kind = MetricSample::Kind::kHistogram;
-  sample.histogram = histogram;
-  samples->push_back(std::move(sample));
-}
-
-/// A detached ServerStats (default-constructed, or hand-filled by a test)
-/// has no registry snapshot; rebuild one from the named fields so ToJson
-/// renders the same document either way. Mirrors the registration order of
-/// the QueryServer constructor.
-std::vector<MetricSample> SamplesFromFields(const ServerStats& stats) {
-  std::vector<MetricSample> samples;
-  samples.reserve(36);
-  AddCounterSample(&samples, "submitted", stats.submitted);
-  AddCounterSample(&samples, "admitted", stats.admitted);
-  AddCounterSample(&samples, "rejected", stats.rejected);
-  AddCounterSample(&samples, "rejected_queue_full", stats.rejected_queue_full);
-  AddCounterSample(&samples, "rejected_shed", stats.rejected_shed);
-  AddCounterSample(&samples, "rejected_draining", stats.rejected_draining);
-  AddCounterSample(&samples, "completed", stats.completed);
-  AddCounterSample(&samples, "expired_in_queue", stats.expired_in_queue);
-  AddCounterSample(&samples, "expired_on_lane", stats.expired_on_lane);
-  AddCounterSample(&samples, "degraded_requests", stats.degraded_requests);
-  AddCounterSample(&samples, "batches", stats.batches);
-  AddCounterSample(&samples, "flush_full", stats.flush_full);
-  AddCounterSample(&samples, "flush_deadline", stats.flush_deadline);
-  AddCounterSample(&samples, "flush_drain", stats.flush_drain);
-  AddCounterSample(&samples, "early_stops", stats.early_stops);
-  AddCounterSample(&samples, "worlds_saved", stats.worlds_saved);
-  AddGaugeSample(&samples, "lane_queue_peak",
-                 static_cast<int64_t>(stats.lane_queue_peak));
-  AddGaugeSample(&samples, "overload_regime",
-                 static_cast<int64_t>(stats.overload_regime));
-  AddGaugeSample(&samples, "trace_dropped",
-                 static_cast<int64_t>(stats.trace_dropped));
-  AddCounterSample(&samples, "compactions", stats.compactions);
-  AddCounterSample(&samples, "compaction_failures", stats.compaction_failures);
-  AddGaugeSample(&samples, "delta_depth",
-                 static_cast<int64_t>(stats.delta_depth));
-  AddCounterSample(&samples, "cache_hits", stats.cache.hits);
-  AddCounterSample(&samples, "cache_misses", stats.cache.misses);
-  AddCounterSample(&samples, "cache_busy_misses", stats.cache.busy_misses);
-  AddCounterSample(&samples, "cache_shared_joins", stats.cache.shared_joins);
-  AddCounterSample(&samples, "cache_evictions_lru", stats.cache.evictions_lru);
-  AddCounterSample(&samples, "cache_evictions_stale",
-                   stats.cache.evictions_stale);
-  AddCounterSample(&samples, "arena_builds", stats.cache.arena_builds);
-  AddCounterSample(&samples, "arena_spec_reuses",
-                   stats.cache.arena_spec_reuses);
-  AddCounterSample(&samples, "arena_bytes", stats.cache.arena_bytes);
-  AddCounterSample(&samples, "stale_index_drops",
-                   stats.cache.stale_index_drops);
-  AddCounterSample(&samples, "session_build_failures",
-                   stats.cache.build_failures);
-  AddHistogramSample(&samples, "latency_us", stats.latency_micros);
-  AddHistogramSample(&samples, "queue_us", stats.queue_micros);
-  return samples;
-}
-
 }  // namespace
 
 uint64_t ServerStats::lane_steals() const {
@@ -143,8 +63,7 @@ std::string ServerStats::ToJson() const {
   JsonWriter w;
   // The instruments, self-enumerated: a counter registered anywhere in the
   // serving tier shows up here without this function changing.
-  for (const MetricSample& sample :
-       metrics.empty() ? SamplesFromFields(*this) : metrics) {
+  for (const MetricSample& sample : metrics) {
     switch (sample.kind) {
       case MetricSample::Kind::kCounter:
         w.Uint(sample.name, sample.counter);
@@ -201,7 +120,7 @@ QueryServer::QueryServer(const TrajectoryDatabase& db, const UstTree* index,
   options_.morsel_specs = std::max<size_t>(1, options_.morsel_specs);
   lane_stats_.resize(static_cast<size_t>(options_.lanes));
   // Instrument registration order is JSON field order (ToJson enumerates
-  // the registry); SamplesFromFields above mirrors it for detached stats.
+  // the registry snapshot).
   c_submitted_ = metrics_.NewCounter("submitted");
   c_admitted_ = metrics_.NewCounter("admitted");
   c_rejected_ = metrics_.NewCounter("rejected");
@@ -612,7 +531,7 @@ void QueryServer::LaneLoop(int lane) {
   // world sharding must come from lane-owned workers, never the session's.
   QuerySession::ExecScratch scratch;
   std::unique_ptr<ThreadPool> world_pool;
-  if (options_.steal && options_.threads > 1) {
+  if (options_.threads > 1) {
     world_pool = std::make_unique<ThreadPool>(options_.threads);
   }
   // The group whose deque this lane currently drains (owner affinity: its
@@ -684,17 +603,11 @@ void QueryServer::LaneLoop(int lane) {
       }
     }
     if (adopt) {
-      if (!options_.steal) {
-        // Group granularity: the PR 4 scheduler, whole group on this lane.
-        ExecuteGroupExclusive(group, lane);
-        continue;
-      }
       // Check the shared session out (build or join — possibly expensive,
       // so outside the server mutex), then open the deque to thieves.
       {
         UST_TRACE_SCOPE("session_checkout", group->requests.front().id);
-        group->session = cache_.CheckoutShared(group->snapshot, group->T,
-                                               index_);
+        group->session = cache_.Checkout(group->snapshot, group->T, index_);
       }
       if (!group->session) {
         // Build failed (injected or real). The deque was never opened to
@@ -813,101 +726,6 @@ void QueryServer::ExecuteMorsel(const std::shared_ptr<GroupTask>& group,
   // writer bumped it under the mutex after writing), so the reads below
   // are ordered after every write.
   if (last) FinalizeGroup(group.get());
-}
-
-void QueryServer::ExecuteGroupExclusive(
-    const std::shared_ptr<GroupTask>& group, int lane) {
-  fault::MaybeStall("lane_stall");
-  const auto exec_start = std::chrono::steady_clock::now();
-  uint64_t expired_here = 0;
-  {
-    // Exclusive checkout: this lane owns the session (and its scratch)
-    // until the lease dies at the end of this scope. A concurrent lane on
-    // the same (epoch, interval) key builds its own duplicate — never
-    // shares.
-    SessionCache::Lease session = [&] {
-      UST_TRACE_SCOPE("session_checkout", group->requests.front().id);
-      return cache_.Checkout(group->snapshot, group->T, index_);
-    }();
-    if (!session) {
-      FailGroup(group, Status::Internal(
-                           "session build failed for interval group"));
-      return;
-    }
-    // Group-boundary deadline check (the whole group is this scheduler's
-    // morsel): expired slots resolve directly, survivors run through
-    // RunAll — outcome[i] is bit-identical to the full-batch run because
-    // RunAll is per-spec pure.
-    const auto now = DeadlineNow();
-    std::vector<size_t> live;
-    live.reserve(group->specs.size());
-    for (size_t i = 0; i < group->specs.size(); ++i) {
-      if (group->requests[i].has_deadline &&
-          now >= group->requests[i].deadline_at) {
-        QueryOutcome& out = group->outcomes[i];
-        out.status = Status::DeadlineExceeded(
-            "deadline expired before lane execution");
-        out.kind = group->specs[i].kind;
-        trace::Instant("expire_lane", group->requests[i].id);
-        ++expired_here;
-      } else {
-        live.push_back(i);
-      }
-    }
-    if (expired_here == 0) {
-      group->outcomes = session->RunAll(group->specs);
-    } else if (!live.empty()) {
-      std::vector<QuerySpec> survivors;
-      survivors.reserve(live.size());
-      for (size_t i : live) survivors.push_back(group->specs[i]);
-      std::vector<QueryOutcome> outcomes = session->RunAll(survivors);
-      for (size_t j = 0; j < live.size(); ++j) {
-        group->outcomes[live[j]] = std::move(outcomes[j]);
-      }
-    }
-  }
-  c_expired_on_lane_->Increment(expired_here);
-  const auto exec_end = std::chrono::steady_clock::now();
-  const double exec_micros =
-      std::chrono::duration<double, std::micro>(exec_end - exec_start)
-          .count();
-  trace::Complete("morsel_exec", exec_start, exec_end,
-                  group->requests.front().id, trace::kReqArg,
-                  ExecutorKindName(group->outcomes.empty()
-                                       ? ExecutorKind::kAuto
-                                       : group->outcomes.front().executor));
-  uint64_t arena_hits = 0;
-  uint64_t early_stops = 0;
-  uint64_t worlds_saved = 0;
-  uint64_t worlds_sampled = 0;
-  for (size_t i = 0; i < group->outcomes.size(); ++i) {
-    const QueryOutcome& outcome = group->outcomes[i];
-    if (outcome.used_arena) ++arena_hits;
-    worlds_sampled += outcome.worlds_used;
-    if (outcome.early_stopped) {
-      ++early_stops;
-      worlds_saved += group->specs[i].mc.num_worlds - outcome.worlds_used;
-    }
-  }
-  c_early_stops_->Increment(early_stops);
-  c_worlds_saved_->Increment(worlds_saved);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    LaneStats& lane_stats = lane_stats_[static_cast<size_t>(lane)];
-    ++lane_stats.morsels;  // the whole group, as one morsel
-    lane_stats.requests += group->specs.size();
-    lane_stats.arena_hits += arena_hits;
-    lane_stats.worlds_sampled += worlds_sampled;
-    lane_stats.exec_micros.Record(exec_micros);
-    group->completed = group->specs.size();
-    for (auto it = groups_.begin(); it != groups_.end(); ++it) {
-      if (it->get() == group.get()) {
-        groups_.erase(it);
-        break;
-      }
-    }
-  }
-  FinalizeGroup(group.get());
 }
 
 void QueryServer::CompactionLoop() {

@@ -20,15 +20,14 @@
 //     of the batches behind it.
 //   lanes (options.lanes threads) — the morsel scheduler (DESIGN.md §5.6)
 //     a lane adopts the oldest unadopted group (checking its session out of
-//     the SessionCache as a *shared*, refcounted lease) and pops morsels
+//     the SessionCache as a shared, refcounted lease) and pops morsels
 //     off that group's deque; when its group drains and no group is
 //     unadopted, an idle lane *steals the back half* of the most-loaded
-//     group's remaining range and works it morsel by morsel. The worst case
-//     of the group scheduler — one dominant (epoch, interval) serializing a
-//     batch on a single lane while the others idle — thereby becomes its
-//     best case: every lane ends up sampling the hot group. Set
-//     `steal = false` for the PR 4 group-granularity scheduler (whole
-//     groups, exclusive leases, session->RunAll).
+//     group's remaining range and works it morsel by morsel. One dominant
+//     (epoch, interval) therefore never serializes a batch on a single lane
+//     while the others idle: every lane ends up sampling the hot group.
+//     `steal = false` keeps the morsel path but skips the stealing step, so
+//     a group runs entirely on the lane that adopted it.
 //
 // Because a query's result is a pure function of (epoch, spec) — the PR 2
 // determinism contract — batching, the cache, the thread pool, the lane
@@ -66,17 +65,18 @@ struct ServerOptions {
   /// concurrently on this many worker threads. 1 reproduces the PR 3
   /// behavior (single execution stream), just off the dispatcher thread.
   int lanes = 1;
-  /// Worker threads of each executing session (RunAll sharding), and of
-  /// each lane's world pool on the morsel path.
+  /// Worker threads of each lane's private world pool (Monte-Carlo world
+  /// sharding inside a morsel) and of each cached session's own pool
+  /// (posterior warm-up in Prepare).
   int threads = 1;
   /// Specs per morsel: the scheduling granule of the lane tier. Small
   /// morsels spread a hot group across lanes faster but claim more often;
   /// 4 is the micro_server-tuned default (claiming is a short critical
   /// section, so the knob mostly trades steal latency against churn).
   size_t morsel_specs = 4;
-  /// Idle lanes steal half-ranges from the most-loaded group. false
-  /// restores the PR 4 group-granularity scheduler (the bench baseline the
-  /// --skew workload is measured against).
+  /// Idle lanes steal half-ranges from the most-loaded group. false leaves
+  /// each group on the lane that adopted it (still morsel by morsel) — the
+  /// baseline the --skew workload of micro_server is measured against.
   bool steal = true;
   /// Flush a micro-batch at this many specs...
   size_t max_batch_size = 64;
@@ -145,8 +145,7 @@ struct LaneStats {
   /// claimable morsel (the idle complement of exec_micros: a loaded server
   /// with high idle_micros has a scheduling problem, not a load problem).
   uint64_t idle_micros = 0;
-  /// Wall time of each executed morsel (whole group when steal = false),
-  /// microseconds.
+  /// Wall time of each executed morsel, microseconds.
   LatencyHistogram exec_micros;
 };
 
@@ -224,8 +223,9 @@ struct ServerStats {
   uint64_t lane_idle_micros() const;
 
   /// Render as a JSON object: the registered instruments (self-enumerated
-  /// from `metrics`, falling back to the named fields for detached
-  /// snapshots), the derived aggregates, and a per-lane array. Built on
+  /// from `metrics` — the named fields are never serialized, so a stats
+  /// object not produced by QueryServer::Stats() renders no instruments),
+  /// the derived aggregates, and a per-lane array. Built on
   /// ust::JsonWriter, so empty lane arrays and escaping are structurally
   /// correct.
   std::string ToJson() const;
@@ -306,7 +306,7 @@ class QueryServer {
     std::vector<QuerySpec> specs;        ///< specs[i] from requests[i]
     std::vector<QueryOutcome> outcomes;  ///< slot i belongs to specs[i]
     MorselDeque deque;                   ///< unclaimed spec ranges
-    SessionCache::SharedLease session;   ///< set by the adopting lane
+    SessionCache::Lease session;         ///< set by the adopting lane
     bool adopted = false;
     bool session_ready = false;  ///< checkout finished; thieves may steal
     size_t completed = 0;        ///< specs executed so far
@@ -316,10 +316,6 @@ class QueryServer {
   void LaneLoop(int lane);
   /// Pin the epoch, group by interval, publish each group's morsel deque.
   void StageBatch(std::vector<Request>* batch);
-  /// Group-granularity path (steal = false): exclusive lease, RunAll,
-  /// finalize — the PR 4 scheduler, kept as the bench baseline.
-  void ExecuteGroupExclusive(const std::shared_ptr<GroupTask>& group,
-                             int lane);
   /// Run specs [begin, end) of `group` through its shared session; the lane
   /// finishing the group's last spec finalizes it.
   void ExecuteMorsel(const std::shared_ptr<GroupTask>& group, size_t begin,

@@ -14,28 +14,6 @@ SessionCache::Lease& SessionCache::Lease::operator=(Lease&& other) noexcept {
   if (this != &other) {
     Release();
     cache_ = other.cache_;
-    session_ = std::move(other.session_);
-    version_ = other.version_;
-    T_ = other.T_;
-    other.cache_ = nullptr;
-    other.session_.reset();
-  }
-  return *this;
-}
-
-void SessionCache::Lease::Release() {
-  if (cache_ != nullptr && session_ != nullptr) {
-    cache_->ReturnSession(std::move(session_), version_, T_);
-  }
-  cache_ = nullptr;
-  session_.reset();
-}
-
-SessionCache::SharedLease& SessionCache::SharedLease::operator=(
-    SharedLease&& other) noexcept {
-  if (this != &other) {
-    Release();
-    cache_ = other.cache_;
     entry_ = other.entry_;
     session_ = std::move(other.session_);
     other.cache_ = nullptr;
@@ -45,7 +23,7 @@ SessionCache::SharedLease& SessionCache::SharedLease::operator=(
   return *this;
 }
 
-void SessionCache::SharedLease::Release() {
+void SessionCache::Lease::Release() {
   if (cache_ != nullptr && entry_ != nullptr) {
     cache_->ReleaseShared(static_cast<SharedEntry*>(entry_));
   }
@@ -121,83 +99,36 @@ SessionCache::Lease SessionCache::Checkout(const DbSnapshot& snapshot,
   const uint64_t version = snapshot.version();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->version == version && it->T == T) {
-        // Pop the entry: exclusivity by removal — while this lease is live
-        // the session simply is not in the cache for anyone else to find.
-        c_hits_.Increment();
-        std::shared_ptr<QuerySession> session = std::move(it->session);
-        entries_.erase(it);
-        leased_.emplace_back(version, T);
-        return Lease(this, std::move(session), version, T);
-      }
-    }
-    c_misses_.Increment();
-    // A miss whose key is currently leased to another lane (exclusively or
-    // shared — an exclusive caller can never join a shared lease) means we
-    // are about to build a *duplicate* session for a hot (epoch, interval)
-    // — correct (outcomes are per-spec pure) but worth counting: a high
-    // busy-miss rate says the lane count outgrew the cache's usefulness.
-    bool busy = false;
-    for (const auto& key : leased_) {
-      if (key.first == version && key.second == T) {
-        busy = true;
-        break;
-      }
-    }
-    for (auto it = shared_.begin(); !busy && it != shared_.end(); ++it) {
-      busy = it->version == version && it->T == T;
-    }
-    if (busy) c_busy_misses_.Increment();
-    leased_.emplace_back(version, T);
-  }
-  std::shared_ptr<QuerySession> session = BuildSession(snapshot, T, index);
-  if (session == nullptr) {
-    // Build failed: retire the busy marker ourselves — a null lease's
-    // Release() never calls back, so leaving it would pin the key busy
-    // forever — and hand back an empty lease for the caller to surface.
-    std::lock_guard<std::mutex> lock(mu_);
-    RemoveLeasedMarkerLocked(version, T);
-    c_build_failures_.Increment();
-    return Lease();
-  }
-  return Lease(this, std::move(session), version, T);
-}
-
-SessionCache::SharedLease SessionCache::CheckoutShared(
-    const DbSnapshot& snapshot, const TimeInterval& T, const UstTree* index) {
-  const uint64_t version = snapshot.version();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A live shared lease on the key is simply joined: no build, no
-    // duplicate — the whole point of the shared mode.
+    // A live lease on the key is simply joined: no build, no duplicate.
     for (SharedEntry& entry : shared_) {
       if (entry.version == version && entry.T == T) {
         c_hits_.Increment();
         c_shared_joins_.Increment();
         ++entry.refs;
-        return SharedLease(this, &entry, entry.session);
+        return Lease(this, &entry, entry.session);
       }
     }
-    // An idle cached session is promoted to a shared lease (removed from
-    // the LRU like the exclusive path — but joinable while out).
+    // An idle cached session is promoted to a lease: removed from the LRU,
+    // joinable while out.
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->version == version && it->T == T) {
         c_hits_.Increment();
         shared_.push_back(SharedEntry{version, T, std::move(it->session), 1});
         entries_.erase(it);
-        return SharedLease(this, &shared_.back(), shared_.back().session);
+        return Lease(this, &shared_.back(), shared_.back().session);
       }
     }
     c_misses_.Increment();
-    bool busy = false;
+    // Another lane already building this key means a *duplicate* session
+    // for a hot (epoch, interval) — correct (outcomes are per-spec pure)
+    // but worth counting: a high busy-miss rate says the lane count
+    // outgrew the cache's usefulness.
     for (const auto& key : leased_) {
       if (key.first == version && key.second == T) {
-        busy = true;
+        c_busy_misses_.Increment();
         break;
       }
     }
-    if (busy) c_busy_misses_.Increment();
     leased_.emplace_back(version, T);  // in-flight build: busy marker
   }
   std::shared_ptr<QuerySession> session = BuildSession(snapshot, T, index);
@@ -206,10 +137,10 @@ SessionCache::SharedLease SessionCache::CheckoutShared(
     RemoveLeasedMarkerLocked(version, T);
     if (session == nullptr) {
       c_build_failures_.Increment();
-      return SharedLease();  // caller surfaces the error; marker retired
+      return Lease();  // caller surfaces the error; marker retired
     }
     shared_.push_back(SharedEntry{version, T, std::move(session), 1});
-    return SharedLease(this, &shared_.back(), shared_.back().session);
+    return Lease(this, &shared_.back(), shared_.back().session);
   }
 }
 
@@ -235,13 +166,6 @@ void SessionCache::InsertIdleLocked(std::shared_ptr<QuerySession> session,
     entries_.pop_back();
     c_evictions_lru_.Increment();
   }
-}
-
-void SessionCache::ReturnSession(std::shared_ptr<QuerySession> session,
-                                 uint64_t version, const TimeInterval& T) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RemoveLeasedMarkerLocked(version, T);
-  InsertIdleLocked(std::move(session), version, T);
 }
 
 void SessionCache::ReleaseShared(SharedEntry* entry) {

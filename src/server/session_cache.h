@@ -11,24 +11,17 @@
 // caches live on the shared UncertainObjects, a new epoch's session re-adapts
 // only the objects that actually changed — warming is incremental.
 //
-// Checkout protocol (the execution-lane contract, DESIGN.md section 5.5):
-// a QuerySession is single-lane — its worker scratch and slab cache must
-// never be shared by two concurrent callers. Checkout() therefore *removes*
-// the entry from the cache and hands it out inside a Lease; exclusivity is
-// structural, not flag-based. A second lane checking out the same
-// (epoch, interval) while the first lease is live simply misses and builds a
-// duplicate session (counted in `busy_misses`; duplicates are correct —
-// outcomes are a pure function of (epoch, spec)). The Lease returns the
-// session on destruction: reinserted at MRU unless its epoch has passed, in
-// which case it is dropped as stale. All entry points are thread-safe.
-//
-// The morsel scheduler (DESIGN.md section 5.6) adds a *shared* flavor:
-// CheckoutShared hands out a refcounted SharedLease that later shared
-// callers on the same key JOIN instead of duplicating — several lanes
-// executing morsels of one hot (epoch, interval), and back-to-back batches
-// for it, all read one warmed session through the read-only
-// QuerySession::RunMorsel path. The session rejoins the idle LRU when the
-// last holder releases.
+// Checkout protocol (the execution-lane contract, DESIGN.md sections 5.5
+// and 5.6): Checkout() hands out a refcounted Lease that later callers on
+// the same key JOIN instead of duplicating — several lanes executing
+// morsels of one hot (epoch, interval), and back-to-back batches for it,
+// all read one warmed session through the read-only QuerySession::RunMorsel
+// path (each lane brings its own scratch). A cached idle session is removed
+// from the LRU while leased and rejoins it, at MRU, when the last holder
+// releases — or is dropped as stale if its epoch passed meanwhile. Two
+// lanes missing the same key at once each build a session (the second is
+// counted in `busy_misses`; duplicates are correct — outcomes are a pure
+// function of (epoch, spec)). All entry points are thread-safe.
 //
 // Session construction runs outside the LRU lock, and only its Prepare()
 // phase holds a dedicated *warm lock*: posterior and sampler caches are
@@ -57,10 +50,10 @@ namespace ust {
 struct SessionCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;          ///< lookups that built a new session
-  uint64_t busy_misses = 0;     ///< of `misses`: the key existed but every
-                                ///< matching session was leased to a lane
-  uint64_t shared_joins = 0;    ///< of `hits`: joined a live shared lease
-                                ///< instead of building a duplicate
+  uint64_t busy_misses = 0;     ///< of `misses`: another build of the same
+                                ///< key was already in flight
+  uint64_t shared_joins = 0;    ///< of `hits`: joined a live lease instead
+                                ///< of building a duplicate
   uint64_t evictions_lru = 0;   ///< dropped for capacity
   uint64_t evictions_stale = 0; ///< dropped because their epoch passed
   // World-arena activity across every session this cache built (the
@@ -75,11 +68,16 @@ struct SessionCacheStats {
 };
 
 /// \brief Thread-safe LRU cache of warmed QuerySessions keyed by
-/// (epoch, interval), handed out one lane at a time via leases.
+/// (epoch, interval), handed out to lanes via shared, refcounted leases.
 class SessionCache {
  public:
-  /// Exclusive handle on one checked-out session. Movable, not copyable;
-  /// returns the session to the cache on destruction.
+  /// \brief Shared (read-only execute) handle on one session: several lanes
+  /// running morsels of the same (epoch, interval) — or back-to-back groups
+  /// for one hot key — hold it simultaneously, each restricted by contract
+  /// to QuerySession::RunMorsel with its own scratch. Refcounted: the
+  /// session returns to the idle LRU when the last holder releases. A live
+  /// lease is *joinable* by later Checkout calls, so a hot key is built once
+  /// however many lanes execute it.
   class Lease {
    public:
     Lease() = default;
@@ -95,53 +93,14 @@ class SessionCache {
     QuerySession* get() const { return session_.get(); }
     explicit operator bool() const { return session_ != nullptr; }
 
-    /// Return the session to the cache now (idempotent).
-    void Release();
-
-   private:
-    friend class SessionCache;
-    Lease(SessionCache* cache, std::shared_ptr<QuerySession> session,
-          uint64_t version, TimeInterval T)
-        : cache_(cache), session_(std::move(session)), version_(version),
-          T_(T) {}
-
-    SessionCache* cache_ = nullptr;
-    std::shared_ptr<QuerySession> session_;
-    uint64_t version_ = 0;
-    TimeInterval T_{0, 0};
-  };
-
-  /// \brief Shared (read-only execute) handle on one session: several lanes
-  /// running morsels of the same (epoch, interval) — or back-to-back groups
-  /// for one hot key — hold it simultaneously, each restricted by contract
-  /// to QuerySession::RunMorsel with its own scratch. Refcounted: the
-  /// session returns to the idle LRU when the last holder releases. A live
-  /// shared lease is *joinable* by later CheckoutShared calls, which is
-  /// what spares hot groups the busy-miss duplicate builds the exclusive
-  /// protocol paid.
-  class SharedLease {
-   public:
-    SharedLease() = default;
-    SharedLease(SharedLease&& other) noexcept { *this = std::move(other); }
-    SharedLease& operator=(SharedLease&& other) noexcept;
-    ~SharedLease() { Release(); }
-
-    SharedLease(const SharedLease&) = delete;
-    SharedLease& operator=(const SharedLease&) = delete;
-
-    QuerySession* operator->() const { return session_.get(); }
-    QuerySession& operator*() const { return *session_; }
-    QuerySession* get() const { return session_.get(); }
-    explicit operator bool() const { return session_ != nullptr; }
-
     /// Drop this holder's reference now (idempotent); the last release
     /// returns the session to the cache.
     void Release();
 
    private:
     friend class SessionCache;
-    SharedLease(SessionCache* cache, void* entry,
-                std::shared_ptr<QuerySession> session)
+    Lease(SessionCache* cache, void* entry,
+          std::shared_ptr<QuerySession> session)
         : cache_(cache), entry_(entry), session_(std::move(session)) {}
 
     SessionCache* cache_ = nullptr;
@@ -152,23 +111,18 @@ class SessionCache {
   /// `capacity` >= 1; `session_options` is applied to every built session.
   SessionCache(size_t capacity, SessionOptions session_options);
 
-  /// Exclusive lease on a session for (snapshot.version(), T): a cached idle
-  /// one, or a fresh one built over `snapshot`, prepared (posteriors +
-  /// samplers warmed) and with the `T` slab pre-built. The freshest base
-  /// tree wins: a compacted base published through the snapshot supersedes
-  /// `index`, and the session patches any remaining epoch gap with a delta
-  /// (or drops the index, counted in stale_index_drops). No other lane can
-  /// obtain this session until the lease dies.
+  /// Lease on a session for (snapshot.version(), T): joins a live lease on
+  /// the key when one exists (counted as a hit + shared_join — no build at
+  /// all), else promotes a cached idle session, else builds a fresh one
+  /// over `snapshot`, prepared (posteriors + samplers warmed) and with the
+  /// `T` slab pre-built. The freshest base tree wins: a compacted base
+  /// published through the snapshot supersedes `index`, and the session
+  /// patches any remaining epoch gap with a delta (or drops the index,
+  /// counted in stale_index_drops). Holders may only execute through the
+  /// read-only morsel path; Run/RunAll/WarmInterval on a leased session are
+  /// the caller's bug. An empty lease means the build failed.
   Lease Checkout(const DbSnapshot& snapshot, const TimeInterval& T,
                  const UstTree* index);
-
-  /// Shared lease for (snapshot.version(), T): joins a live shared lease on
-  /// the key when one exists (counted as a hit + shared_join — no build at
-  /// all), else promotes a cached idle session, else builds one like
-  /// Checkout. Holders may only execute through the read-only morsel path;
-  /// Run/RunAll/WarmInterval on a shared session are the caller's bug.
-  SharedLease CheckoutShared(const DbSnapshot& snapshot,
-                             const TimeInterval& T, const UstTree* index);
 
   /// Drop every *idle* session pinned to an epoch older than `live_version`,
   /// and drop leased ones when their lease is returned.
@@ -186,7 +140,6 @@ class SessionCache {
 
  private:
   friend class Lease;
-  friend class SharedLease;
 
   struct Entry {
     uint64_t version;
@@ -194,7 +147,7 @@ class SessionCache {
     std::shared_ptr<QuerySession> session;
   };
 
-  /// One shared-leased session: joinable while refs > 0; the node address
+  /// One leased session: joinable while refs > 0; the node address
   /// is stable (std::list), so leases hold a pointer to it.
   struct SharedEntry {
     uint64_t version;
@@ -203,8 +156,8 @@ class SessionCache {
     size_t refs;
   };
 
-  /// Build + warm a fresh session for the key (the miss path shared by both
-  /// checkout flavors); runs outside mu_, Prepare under warm_mu_.
+  /// Build + warm a fresh session for the key (the miss path of Checkout);
+  /// runs outside mu_, Prepare under warm_mu_.
   std::shared_ptr<QuerySession> BuildSession(const DbSnapshot& snapshot,
                                              const TimeInterval& T,
                                              const UstTree* index);
@@ -214,15 +167,10 @@ class SessionCache {
   void InsertIdleLocked(std::shared_ptr<QuerySession> session,
                         uint64_t version, const TimeInterval& T);
 
-  /// Lease return path: reinsert at MRU or drop as stale.
-  void ReturnSession(std::shared_ptr<QuerySession> session, uint64_t version,
-                     const TimeInterval& T);
-
-  /// Shared-lease return path: unref; the last holder reinserts or drops.
+  /// Lease return path: unref; the last holder reinserts or drops.
   void ReleaseShared(SharedEntry* entry);
 
-  /// Retire one busy marker for the key. Caller must hold mu_. Build
-  /// failures must call this themselves: an empty lease never releases.
+  /// Retire one in-flight build marker for the key. Caller must hold mu_.
   void RemoveLeasedMarkerLocked(uint64_t version, const TimeInterval& T);
 
   const size_t capacity_;
@@ -236,10 +184,9 @@ class SessionCache {
   /// model/db_snapshot.h); never held together with mu_.
   std::mutex warm_mu_;
   std::list<Entry> entries_;  ///< MRU at front, LRU at back; idle only
-  std::list<SharedEntry> shared_;  ///< live shared leases (joinable)
-  /// Keys of live exclusive leases and in-flight builds (duplicates
-  /// allowed): the busy-miss detector. At most `lanes` entries in practice,
-  /// so a flat list beats a map.
+  std::list<SharedEntry> shared_;  ///< live leases (joinable)
+  /// Keys of in-flight builds (duplicates allowed): the busy-miss detector.
+  /// At most `lanes` entries in practice, so a flat list beats a map.
   std::list<std::pair<uint64_t, TimeInterval>> leased_;
   uint64_t min_live_version_ = 0;  ///< floor set by EvictStale
   // Instruments, not plain fields (DESIGN.md section 9): stats() snapshots

@@ -255,7 +255,7 @@ TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderSharedLease) {
   session_options.arena_min_uses = 1;
   SessionCache cache(/*capacity=*/1, session_options);
   DbSnapshot snap = db().Snapshot();
-  auto lease = cache.CheckoutShared(snap, T_, index_.get());
+  auto lease = cache.Checkout(snap, T_, index_.get());
   ASSERT_TRUE(lease);
 
   std::vector<QueryOutcome> outcomes(specs.size());
@@ -275,7 +275,7 @@ TEST_F(ArenaTest, ArenaOutlivesSessionCacheEvictionUnderSharedLease) {
       // is dropped (not reinserted) at final release.
       TimeInterval other{static_cast<Tic>(T_.start + i % 3),
                          static_cast<Tic>(T_.start + 3 + i % 3)};
-      cache.CheckoutShared(snap, other, index_.get()).Release();
+      cache.Checkout(snap, other, index_.get()).Release();
       cache.EvictStale(snap.version() + 1);
     }
   }

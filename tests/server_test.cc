@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -218,6 +219,7 @@ TEST_F(ServerTest, SessionCacheKeysOnEpochAndInterval) {
     EXPECT_EQ(lease.get(), s1);
   }
   EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().shared_joins, 0u);  // idle promotion, not a join
 
   // Capacity 2: t3 evicts the least recently used entry (t1 after t2 ran).
   cache.Checkout(snap, t2, index_.get());
@@ -241,93 +243,59 @@ TEST_F(ServerTest, SessionCacheKeysOnEpochAndInterval) {
   EXPECT_GE(cache.stats().evictions_stale, 1u);
 }
 
-TEST_F(ServerTest, SessionCacheCheckoutIsExclusive) {
+TEST_F(ServerTest, SessionCacheLeaseJoinsInsteadOfDuplicating) {
   SessionCache cache(2, SessionOptions{});
   DbSnapshot snap = db().Snapshot();
 
-  // Two concurrent leases on one key: the second caller must get its own
-  // session (scratch is single-lane), built as a counted duplicate.
+  // Two checkouts on one key: the second *joins* the first — same session,
+  // one build, no busy miss, nothing idle while either holds it.
   auto lease1 = cache.Checkout(snap, T_, index_.get());
-  auto lease2 = cache.Checkout(snap, T_, index_.get());
-  ASSERT_TRUE(lease1);
-  ASSERT_TRUE(lease2);
-  EXPECT_NE(lease1.get(), lease2.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().busy_misses, 1u);
-  EXPECT_EQ(cache.size(), 0u);  // both leased out, nothing idle
-
-  const QuerySession* first = lease1.get();
-  lease1.Release();
-  EXPECT_FALSE(lease1);  // the lease handle is dead after release
-  EXPECT_EQ(cache.size(), 1u);
-  {
-    auto lease3 = cache.Checkout(snap, T_, index_.get());  // hit on returned
-    EXPECT_EQ(lease3.get(), first);
-    EXPECT_EQ(cache.stats().hits, 1u);
-  }
-  lease2.Release();
-  EXPECT_EQ(cache.size(), 2u);  // the duplicate is cached too (capacity 2)
-
-  // A lease outstanding across EvictStale is dropped on return, not cached:
-  // its epoch has passed.
-  auto stale = cache.Checkout(snap, T_, index_.get());
-  const uint64_t stale_before = cache.stats().evictions_stale;
-  cache.EvictStale(snap.version() + 1);
-  EXPECT_EQ(cache.size(), 0u);
-  stale.Release();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_GT(cache.stats().evictions_stale, stale_before);
-}
-
-TEST_F(ServerTest, SharedLeaseJoinsInsteadOfDuplicating) {
-  SessionCache cache(2, SessionOptions{});
-  DbSnapshot snap = db().Snapshot();
-
-  // Two shared checkouts on one key: the second *joins* the first — same
-  // session, one build, no busy miss. This is the protocol that lets hot
-  // groups stop paying duplicate builds.
-  auto lease1 = cache.CheckoutShared(snap, T_, index_.get());
   ASSERT_TRUE(lease1);
   EXPECT_EQ(cache.stats().misses, 1u);
-  auto lease2 = cache.CheckoutShared(snap, T_, index_.get());
+  auto lease2 = cache.Checkout(snap, T_, index_.get());
   ASSERT_TRUE(lease2);
   EXPECT_EQ(lease1.get(), lease2.get());
   EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().shared_joins, 1u);
   EXPECT_EQ(cache.stats().busy_misses, 0u);
   EXPECT_EQ(cache.size(), 0u);  // out on lease, not idle
 
-  // An exclusive checkout cannot join a shared lease: duplicate, busy miss.
-  {
-    auto exclusive = cache.Checkout(snap, T_, index_.get());
-    EXPECT_NE(exclusive.get(), lease1.get());
-    EXPECT_EQ(cache.stats().busy_misses, 1u);
-  }
-
-  // Refcounted return: the first release keeps the session out, the last
-  // one reinserts it at MRU — where a later shared checkout finds it idle.
+  // Refcounted, idempotent return: the first release keeps the session
+  // out, releasing the dead handle again changes nothing, and a later
+  // checkout still joins the live lease.
   const QuerySession* session = lease1.get();
   lease1.Release();
-  EXPECT_EQ(cache.stats().shared_joins, 1u);
+  EXPECT_FALSE(lease1);  // the lease handle is dead after release
+  lease1.Release();
+  EXPECT_EQ(cache.size(), 0u);
   {
-    auto lease3 = cache.CheckoutShared(snap, T_, index_.get());  // joins
+    auto lease3 = cache.Checkout(snap, T_, index_.get());  // joins
     EXPECT_EQ(lease3.get(), session);
     EXPECT_EQ(cache.stats().shared_joins, 2u);
     lease2.Release();  // two holders left -> one
-  }  // lease3 released: last holder, session goes idle
-  EXPECT_EQ(cache.size(), 2u);  // the shared session + the exclusive dup
+    EXPECT_EQ(cache.size(), 0u);
+  }  // lease3 released: last holder, session goes idle at MRU
+  EXPECT_EQ(cache.size(), 1u);
   {
-    auto lease4 = cache.CheckoutShared(snap, T_, index_.get());
-    EXPECT_EQ(lease4.get(), session);  // idle promotion, not a join
-    EXPECT_EQ(cache.stats().shared_joins, 2u);
+    auto lease4 = cache.Checkout(snap, T_, index_.get());
+    EXPECT_EQ(lease4.get(), session);  // hit on the returned session
+    EXPECT_EQ(cache.stats().hits, 3u);
+    EXPECT_EQ(cache.stats().shared_joins, 2u);  // idle promotion
   }
+  EXPECT_EQ(cache.stats().misses, 1u);  // one build served every holder
 
-  // A shared session whose epoch passes mid-lease is dropped on the last
-  // release, exactly like the exclusive path.
-  auto stale = cache.CheckoutShared(snap, T_, index_.get());
-  cache.EvictStale(snap.version() + 1);
+  // A session whose epoch passes mid-lease is dropped on the last release,
+  // not cached — however many holders it had.
+  auto stale1 = cache.Checkout(snap, T_, index_.get());
+  auto stale2 = cache.Checkout(snap, T_, index_.get());
   const uint64_t stale_before = cache.stats().evictions_stale;
-  stale.Release();
+  cache.EvictStale(snap.version() + 1);
+  EXPECT_EQ(cache.size(), 0u);
+  stale1.Release();
+  EXPECT_EQ(cache.stats().evictions_stale, stale_before);  // still held
+  stale2.Release();
+  EXPECT_EQ(cache.size(), 0u);
   EXPECT_GT(cache.stats().evictions_stale, stale_before);
 }
 
@@ -367,11 +335,11 @@ TEST_F(ServerTest, HotGroupMorselsMatchSerialRunAllBitwise) {
 }
 
 TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
-  // The tail-latency regression test for the group-granularity scheduler:
-  // one dominant group of heavy specs next to a tiny one. At group
-  // granularity the dominant group pins ONE lane while the other goes idle
-  // after its tiny group (steals == 0, one lane owns every heavy request);
-  // with morsel stealing the idle lane must take half-ranges of the hot
+  // The tail-latency regression test for morsel stealing: one dominant
+  // group of heavy specs next to a tiny one. Without stealing the dominant
+  // group pins ONE lane while the other goes idle after its tiny group
+  // (steals == 0, one lane owns every heavy request); with morsel
+  // stealing the idle lane must take half-ranges of the hot
   // group (steals >= 1 and both lanes execute requests). The heavy specs
   // are hundreds of milliseconds each, the idle lane wakes in microseconds
   // — the margin is ~5 orders of magnitude, so this is timing-robust.
@@ -407,8 +375,8 @@ TEST_F(ServerTest, IdleLaneStealsFromDominantGroup) {
   };
 
   const ServerStats nosteal = run(false);
-  // Group granularity: whole groups stick to their adopting lane — the six
-  // heavy requests all executed where the dominant group landed.
+  // No stealing: every morsel of a group runs on its adopting lane — the
+  // six heavy requests all executed where the dominant group landed.
   EXPECT_EQ(nosteal.lane_steals(), 0u);
   uint64_t max_lane_requests = 0;
   for (const LaneStats& lane : nosteal.lanes) {
@@ -513,6 +481,68 @@ TEST_F(ServerTest, ZeroKIsRejectedAndTheServerKeepsServing) {
   server.Stop();
   // The rejected specs drew no worlds and reported none.
   EXPECT_EQ(server.Stats().worlds_sampled(), worlds);
+}
+
+TEST_F(ServerTest, MalformedSpecsAreRejectedAndTheServerKeepsServing) {
+  // A reversed interval (T.start > T.end) on an indexed session used to
+  // throw std::length_error out of UstTree::BuildProfiles (T.length()
+  // wraps) and terminate the process from a lane thread; a NaN tau and a
+  // zero epsilon were admitted and answered OK. Each must come back as
+  // kInvalidArgument with no worlds drawn — even when it shares a batch and
+  // an interval group with valid specs — while the lanes keep serving.
+  Rng rng(23);
+  QuerySpec reversed;
+  reversed.kind = QueryKind::kExists;
+  reversed.q = RandomQueryState(*world_->space, rng);
+  reversed.T = TimeInterval{T_.end, T_.start};
+  reversed.mc.num_worlds = 300;
+  QuerySpec nan_tau = reversed;
+  nan_tau.kind = QueryKind::kForall;
+  nan_tau.T = T_;
+  nan_tau.tau = std::numeric_limits<double>::quiet_NaN();
+  QuerySpec zero_epsilon = nan_tau;
+  zero_epsilon.tau = 0.05;
+  zero_epsilon.precision.mode = PrecisionMode::kEpsilon;
+  zero_epsilon.precision.epsilon = 0.0;
+  const std::vector<QuerySpec> bad = {reversed, nan_tau, zero_epsilon};
+  const std::vector<QuerySpec> specs = MakeSpecs(6);
+  const std::vector<QueryOutcome> expected =
+      QuerySession(db(), index_.get()).RunAll(specs);
+
+  ServerOptions options;
+  options.lanes = 2;
+  options.max_batch_size = 64;
+  QueryServer server(db(), index_.get(), options);
+  server.Pause();  // one batch: the bad specs land next to the good ones
+  std::vector<std::future<QueryOutcome>> bad_futures;
+  std::vector<std::future<QueryOutcome>> futures;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (i < bad.size()) bad_futures.push_back(server.Submit(bad[i]));
+    futures.push_back(server.Submit(specs[i]));
+  }
+  server.Resume();
+  for (size_t i = 0; i < bad_futures.size(); ++i) {
+    const QueryOutcome out = bad_futures[i].get();
+    EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument) << "bad " << i;
+    EXPECT_EQ(out.worlds_used, 0u) << "bad " << i;
+  }
+  uint64_t worlds = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const QueryOutcome out = futures[i].get();
+    ASSERT_TRUE(out.status.ok()) << "request " << i;
+    EXPECT_TRUE(SameOutcome(out, expected[i])) << "request " << i;
+    worlds += out.worlds_used;
+  }
+  // A second, all-valid round after the rejections: still bit-identical.
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(SameOutcome(server.Submit(specs[i]).get(), expected[i]))
+        << "round 2 request " << i;
+  }
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.completed, bad.size() + 2 * specs.size());
+  // The rejected specs drew no worlds; both valid rounds drew the same.
+  EXPECT_EQ(stats.worlds_sampled(), 2 * worlds);
 }
 
 TEST_F(ServerTest, StopDrainsEveryAdmittedRequest) {

@@ -79,7 +79,7 @@ CHECKS = {
         "qps_server": ("down", ABSOLUTE_BAND),
         "qps_server_1lane": ("down", ABSOLUTE_BAND),
         "latency_p99_ms": ("up", ABSOLUTE_BAND),
-        # Morsel stealing vs the group scheduler on the skewed stream: a
+        # Morsel stealing on vs off on the skewed stream: a
         # within-run p99 ratio, so it gets the machine-portable band. On a
         # 1-core runner it hovers near 1.0 (no idle lane to steal with);
         # the band then only rejects a genuine regression, while a
