@@ -281,7 +281,8 @@ int main(int argc, char** argv) {
     // the request ledger must reconcile exactly.
     UST_CHECK(resolved == stats.submitted);
     UST_CHECK(stats.submitted == stats.admitted + stats.rejected);
-    UST_CHECK(stats.rejected == stats.rejected_queue_full +
+    UST_CHECK(stats.rejected == stats.rejected_invalid +
+                                    stats.rejected_queue_full +
                                     stats.rejected_shed +
                                     stats.rejected_draining);
     UST_CHECK(stats.admitted == stats.completed);
@@ -402,7 +403,8 @@ int main(int argc, char** argv) {
       // ledger check below accounts for.
       UST_CHECK(point.stats.submitted ==
                 point.stats.admitted + point.stats.rejected);
-      UST_CHECK(point.stats.rejected == point.stats.rejected_queue_full +
+      UST_CHECK(point.stats.rejected == point.stats.rejected_invalid +
+                                            point.stats.rejected_queue_full +
                                             point.stats.rejected_shed +
                                             point.stats.rejected_draining);
       UST_CHECK(point.stats.admitted == point.stats.completed);

@@ -308,6 +308,15 @@ Status ValidateSpec(const QuerySpec& spec) {
   if (!(spec.tau >= 0.0 && spec.tau <= 1.0)) {
     return Status::InvalidArgument("tau must lie in [0, 1]");
   }
+  // Zero worlds would divide 0/0 into a NaN probability answered OK.
+  if (spec.mc.num_worlds == 0) {
+    return Status::InvalidArgument("num_worlds must be >= 1");
+  }
+  // The serving tier adds the budget to a nanosecond steady_clock; NaN,
+  // negative and unrepresentable budgets (beyond ~31 years) are refused.
+  if (!(spec.deadline_ms >= 0.0 && spec.deadline_ms <= 1e12)) {
+    return Status::InvalidArgument("deadline_ms must lie in [0, 1e12]");
+  }
   if (spec.precision.mode != PrecisionMode::kFixedWorlds) {
     if (!(spec.precision.epsilon > 0.0 && spec.precision.epsilon < 1.0)) {
       return Status::InvalidArgument("epsilon must lie in (0, 1)");

@@ -107,11 +107,13 @@ struct QuerySpec {
 };
 
 /// \brief Reject a spec no backend can evaluate: k < 1, a reversed interval
-/// (T.start > T.end), a tau that is NaN or outside [0, 1], or — unless the
-/// precision mode is kFixedWorlds — an epsilon or delta that is NaN or
-/// outside (0, 1). kInvalidArgument names the first offending field; OK
-/// otherwise. QuerySession applies it to every spec before pruning or
-/// planning, so client input can never reach a backend's assertions.
+/// (T.start > T.end), a tau that is NaN or outside [0, 1], mc.num_worlds
+/// == 0, a deadline_ms that is NaN or outside [0, 1e12], or —
+/// unless the precision mode is kFixedWorlds — an epsilon or delta that is
+/// NaN or outside (0, 1). kInvalidArgument names the first offending field;
+/// OK otherwise. QueryServer::Submit applies it at admission and
+/// QuerySession to every spec before pruning or planning, so client input
+/// can never reach a backend's assertions.
 Status ValidateSpec(const QuerySpec& spec);
 
 /// \brief Per-query outcome. `status` isolates failures: one malformed query

@@ -52,8 +52,9 @@ struct OverloadOptions {
   double exit_hysteresis = 0.10;
   /// Enter kDegrade / kShed when the queue-delay EWMA (submit-to-flush,
   /// milliseconds) reaches these. Generous defaults: a healthy server
-  /// flushes in ~max_batch_delay_ms, so sustained 100x of that means the
-  /// dispatcher cannot keep up regardless of the in-flight count.
+  /// flushes at once to an idle lane and within ~max_batch_delay_ms while
+  /// every lane is busy, so sustained 250x that window means the lanes
+  /// cannot keep up regardless of the in-flight count.
   double degrade_queue_ms = 250.0;
   double shed_queue_ms = 1000.0;
   /// EWMA smoothing factor for the queue-delay signal (per batch flushed).

@@ -124,6 +124,7 @@ QueryServer::QueryServer(const TrajectoryDatabase& db, const UstTree* index,
   c_submitted_ = metrics_.NewCounter("submitted");
   c_admitted_ = metrics_.NewCounter("admitted");
   c_rejected_ = metrics_.NewCounter("rejected");
+  c_rejected_invalid_ = metrics_.NewCounter("rejected_invalid");
   c_rejected_queue_full_ = metrics_.NewCounter("rejected_queue_full");
   c_rejected_shed_ = metrics_.NewCounter("rejected_shed");
   c_rejected_draining_ = metrics_.NewCounter("rejected_draining");
@@ -133,6 +134,7 @@ QueryServer::QueryServer(const TrajectoryDatabase& db, const UstTree* index,
   c_degraded_ = metrics_.NewCounter("degraded_requests");
   c_batches_ = metrics_.NewCounter("batches");
   c_flush_full_ = metrics_.NewCounter("flush_full");
+  c_flush_idle_ = metrics_.NewCounter("flush_idle");
   c_flush_deadline_ = metrics_.NewCounter("flush_deadline");
   c_flush_drain_ = metrics_.NewCounter("flush_drain");
   c_early_stops_ = metrics_.NewCounter("early_stops");
@@ -166,9 +168,20 @@ std::future<QueryOutcome> QueryServer::Submit(QuerySpec spec) {
   trace::Span admit_span("admit");
   std::promise<QueryOutcome> promise;
   std::future<QueryOutcome> future = promise.get_future();
+  // Malformed client input is refused before it holds an in-flight slot or
+  // a batch seat; it would only be rejected on a lane anyway (RunOne
+  // applies the same check), after waiting out the queue.
+  Status valid = ValidateSpec(spec);
   {
     std::lock_guard<std::mutex> lock(mu_);
     c_submitted_->Increment();
+    if (!valid.ok()) {
+      c_rejected_->Increment();
+      c_rejected_invalid_->Increment();
+      admit_span.set_tag("invalid");
+      promise.set_value(RejectedOutcome(std::move(valid), spec.kind));
+      return future;
+    }
     if (stopping_) {
       // Deterministic drain contract: every Submit racing (or following)
       // Stop() resolves immediately with the same tagged backpressure
@@ -313,6 +326,7 @@ ServerStats QueryServer::Stats() const {
   stats.submitted = c_submitted_->value();
   stats.admitted = c_admitted_->value();
   stats.rejected = c_rejected_->value();
+  stats.rejected_invalid = c_rejected_invalid_->value();
   stats.rejected_queue_full = c_rejected_queue_full_->value();
   stats.rejected_shed = c_rejected_shed_->value();
   stats.rejected_draining = c_rejected_draining_->value();
@@ -323,6 +337,7 @@ ServerStats QueryServer::Stats() const {
   stats.overload_regime = static_cast<size_t>(g_overload_regime_->value());
   stats.batches = c_batches_->value();
   stats.flush_full = c_flush_full_->value();
+  stats.flush_idle = c_flush_idle_->value();
   stats.flush_deadline = c_flush_deadline_->value();
   stats.flush_drain = c_flush_drain_->value();
   stats.early_stops = c_early_stops_->value();
@@ -351,6 +366,7 @@ void QueryServer::DispatcherLoop() {
   for (;;) {
     std::vector<Request> batch;
     const char* flush_tag = nullptr;
+    bool window_expired = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] {
@@ -358,12 +374,16 @@ void QueryServer::DispatcherLoop() {
       });
       if (queue_.empty() && stopping_) return;
       if (!stopping_) {
-        // Micro-batching window: the batch opened when the first spec was
-        // seen; hold it open until it fills or the deadline passes. Late
+        // Micro-batching window, work-conserving: the batch opened when the
+        // first spec was seen; hold it open only while every lane is busy,
+        // until it fills or the deadline passes. A lane parking notifies
+        // cv_ (LaneLoop), so one going idle mid-window ends the wait. Late
         // submits keep landing in queue_ and are picked up by the drain.
         const auto deadline = std::chrono::steady_clock::now() + delay;
-        while (!stopping_ && queue_.size() < options_.max_batch_size) {
+        while (!stopping_ && queue_.size() < options_.max_batch_size &&
+               !LaneIdleLocked()) {
           if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+            window_expired = true;
             break;
           }
         }
@@ -381,9 +401,12 @@ void QueryServer::DispatcherLoop() {
       } else if (n >= options_.max_batch_size) {
         flush_counter = c_flush_full_;
         flush_tag = "full";
-      } else {
+      } else if (window_expired) {
         flush_counter = c_flush_deadline_;
         flush_tag = "deadline";
+      } else {
+        flush_counter = c_flush_idle_;
+        flush_tag = "idle";
       }
       flush_counter->Increment();
       c_batches_->Increment();
@@ -394,6 +417,16 @@ void QueryServer::DispatcherLoop() {
       StageBatch(&batch);
     }
   }
+}
+
+bool QueryServer::LaneIdleLocked() const {
+  if (idle_lanes_ == 0) return false;
+  // A parked lane is already woken for an unadopted group; counting it as
+  // free would flush a second batch into the same lane's backlog.
+  for (const auto& group : groups_) {
+    if (!group->adopted) return false;
+  }
+  return true;
 }
 
 std::chrono::steady_clock::time_point QueryServer::DeadlineNow() {
@@ -588,9 +621,13 @@ void QueryServer::LaneLoop(int lane) {
         if (lanes_stopping_) return;  // nothing claimable, drain complete
         // Idle accounting: this lane has nothing claimable. The clock reads
         // bracket only the wait (both under mu_, so the tally is exact and
-        // race-free).
+        // race-free). A batch held open for want of a free lane can flush
+        // now: wake the dispatcher's window.
+        ++idle_lanes_;
+        if (!queue_.empty()) cv_.notify_one();
         const auto idle_start = std::chrono::steady_clock::now();
         lane_cv_.wait(lock);
+        --idle_lanes_;
         lane_stats_[static_cast<size_t>(lane)].idle_micros +=
             static_cast<uint64_t>(
                 std::chrono::duration<double, std::micro>(

@@ -9,8 +9,10 @@
 //     rejected immediately with kResourceLimit (backpressure, never
 //     blocking).
 //   dispatcher
-//     flushes a batch when it holds max_batch_size specs or
-//     max_batch_delay_ms elapsed since the batch opened, pins the database
+//     flushes a batch when it holds max_batch_size specs, at once when a
+//     lane is idle and every staged group is adopted (work-conserving: an
+//     idle lane never waits on the window), or — only while every lane is
+//     busy — max_batch_delay_ms after the batch opened. It pins the database
 //     epoch for the whole batch (db->Snapshot()), groups specs by query
 //     interval — and *publishes* each group as a deque of fixed-size
 //     spec-range morsels (`morsel_specs` specs each, results committed into
@@ -80,7 +82,9 @@ struct ServerOptions {
   bool steal = true;
   /// Flush a micro-batch at this many specs...
   size_t max_batch_size = 64;
-  /// ...or this many milliseconds after it opened, whichever first.
+  /// ...or this many milliseconds after it opened, whichever first. The
+  /// window applies only while every lane is busy: a lane that is idle with
+  /// every staged group adopted takes the batch at once.
   double max_batch_delay_ms = 1.0;
   /// Admission bound on *in-flight* requests (admitted, not yet completed —
   /// queued, staged for a lane, or executing). Submits beyond it are
@@ -156,8 +160,10 @@ struct ServerStats {
   uint64_t submitted = 0;  ///< all Submit calls
   uint64_t admitted = 0;   ///< entered the queue
   uint64_t rejected = 0;   ///< bounced — always the sum of the split below
-  /// The rejection reasons, split (DESIGN.md section 11): the admission
-  /// bound, the overload controller's shed regime, and the drain window.
+  /// The rejection reasons, split (DESIGN.md section 11): a spec that fails
+  /// ValidateSpec, the admission bound, the overload controller's shed
+  /// regime, and the drain window.
+  uint64_t rejected_invalid = 0;
   uint64_t rejected_queue_full = 0;
   uint64_t rejected_shed = 0;
   uint64_t rejected_draining = 0;
@@ -176,7 +182,8 @@ struct ServerStats {
   size_t overload_regime = 0;
   uint64_t batches = 0;    ///< micro-batches dispatched
   uint64_t flush_full = 0;      ///< flushed because the batch filled
-  uint64_t flush_deadline = 0;  ///< flushed by the latency deadline
+  uint64_t flush_idle = 0;      ///< flushed at once to an idle lane
+  uint64_t flush_deadline = 0;  ///< window expired with every lane busy
   uint64_t flush_drain = 0;     ///< flushed by shutdown drain
   size_t lane_queue_depth = 0;  ///< gauge: groups awaiting adoption right now
   size_t lane_queue_peak = 0;   ///< high-water mark of that queue
@@ -248,9 +255,10 @@ class QueryServer {
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// Enqueue one query. The future resolves with the outcome — or resolves
-  /// immediately with kResourceLimit when the request is bounced: in-flight
-  /// bound hit, shed by the overload controller, or the server is draining
-  /// after Stop(). A spec with deadline_ms > 0 may instead resolve
+  /// immediately when the request is bounced: kInvalidArgument for a spec
+  /// ValidateSpec rejects, kResourceLimit when the in-flight bound is hit,
+  /// the overload controller sheds it, or the server is draining after
+  /// Stop(). A spec with deadline_ms > 0 may instead resolve
   /// kDeadlineExceeded when its budget expires before execution (checked
   /// only in the queue and at morsel boundaries — an executed spec is
   /// always bit-identical to the deadline-free run).
@@ -313,6 +321,10 @@ class QueryServer {
   };
 
   void DispatcherLoop();
+  /// Work-conserving flush test (caller holds mu_): some lane is parked and
+  /// no staged group waits for adoption, so a batch flushed now starts
+  /// executing at once instead of waiting out the window.
+  bool LaneIdleLocked() const;
   void LaneLoop(int lane);
   /// Pin the epoch, group by interval, publish each group's morsel deque.
   void StageBatch(std::vector<Request>* batch);
@@ -352,6 +364,7 @@ class QueryServer {
   bool lanes_stopping_ = false;  ///< set after the dispatcher exits
   bool paused_ = false;
   uint64_t in_flight_ = 0;         ///< admitted, not yet completed
+  int idle_lanes_ = 0;             ///< lanes parked on lane_cv_ (mu_)
   uint64_t next_request_id_ = 0;   ///< guarded by mu_
   std::vector<LaneStats> lane_stats_;  ///< guarded by mu_
   /// Regime state machine (DESIGN.md section 11); guarded by mu_ — Submit
@@ -366,6 +379,7 @@ class QueryServer {
   Counter* c_submitted_;
   Counter* c_admitted_;
   Counter* c_rejected_;
+  Counter* c_rejected_invalid_;
   Counter* c_rejected_queue_full_;
   Counter* c_rejected_shed_;
   Counter* c_rejected_draining_;
@@ -375,6 +389,7 @@ class QueryServer {
   Counter* c_degraded_;
   Counter* c_batches_;
   Counter* c_flush_full_;
+  Counter* c_flush_idle_;
   Counter* c_flush_deadline_;
   Counter* c_flush_drain_;
   Counter* c_early_stops_;

@@ -5,7 +5,8 @@
 // submit burst racing Stop() must still resolve every promise exactly once
 // and keep the request ledger reconciled:
 //   submitted == admitted + rejected,
-//   rejected  == rejected_queue_full + rejected_shed + rejected_draining,
+//   rejected  == rejected_invalid + rejected_queue_full + rejected_shed +
+//                rejected_draining,
 //   admitted  == completed (one outcome per admission, error or not).
 #include <gtest/gtest.h>
 
@@ -265,8 +266,9 @@ TEST_F(ChaosTest, AllInjectionPointsFireAndTheLedgerReconciles) {
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.submitted, futures.size() + late.size());
   EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
-  EXPECT_EQ(stats.rejected, stats.rejected_queue_full + stats.rejected_shed +
-                                stats.rejected_draining);
+  EXPECT_EQ(stats.rejected, stats.rejected_invalid +
+                                stats.rejected_queue_full +
+                                stats.rejected_shed + stats.rejected_draining);
   EXPECT_EQ(stats.admitted, stats.completed);
   // The client-side tally agrees with the server's ledger.
   EXPECT_EQ(ok + expired + internal, stats.admitted);

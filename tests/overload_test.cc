@@ -399,8 +399,8 @@ TEST_F(OverloadServerTest, SubmitVsStopHammerNeverLeaksAPromise) {
     EXPECT_EQ(stats.submitted, futures.size());
     EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
     EXPECT_EQ(stats.rejected,
-              stats.rejected_queue_full + stats.rejected_shed +
-                  stats.rejected_draining);
+              stats.rejected_invalid + stats.rejected_queue_full +
+                  stats.rejected_shed + stats.rejected_draining);
     EXPECT_EQ(stats.admitted, stats.completed);
     EXPECT_EQ(ok, stats.admitted);
     EXPECT_EQ(draining, stats.rejected);

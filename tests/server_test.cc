@@ -20,6 +20,7 @@
 #include "query/session.h"
 #include "server/query_server.h"
 #include "server/session_cache.h"
+#include "util/fault.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -486,10 +487,12 @@ TEST_F(ServerTest, ZeroKIsRejectedAndTheServerKeepsServing) {
 TEST_F(ServerTest, MalformedSpecsAreRejectedAndTheServerKeepsServing) {
   // A reversed interval (T.start > T.end) on an indexed session used to
   // throw std::length_error out of UstTree::BuildProfiles (T.length()
-  // wraps) and terminate the process from a lane thread; a NaN tau and a
-  // zero epsilon were admitted and answered OK. Each must come back as
-  // kInvalidArgument with no worlds drawn — even when it shares a batch and
-  // an interval group with valid specs — while the lanes keep serving.
+  // wraps) and terminate the process from a lane thread; a NaN tau, a zero
+  // epsilon and zero worlds were admitted and answered OK; a negative or
+  // NaN deadline was admitted as "no deadline". Submit now refuses each
+  // with kInvalidArgument before admission (counted as rejected_invalid),
+  // QuerySession refuses them too — even mixed into one RunAll with valid
+  // specs — and the lanes keep serving bit-identically.
   Rng rng(23);
   QuerySpec reversed;
   reversed.kind = QueryKind::kExists;
@@ -504,28 +507,58 @@ TEST_F(ServerTest, MalformedSpecsAreRejectedAndTheServerKeepsServing) {
   zero_epsilon.tau = 0.05;
   zero_epsilon.precision.mode = PrecisionMode::kEpsilon;
   zero_epsilon.precision.epsilon = 0.0;
-  const std::vector<QuerySpec> bad = {reversed, nan_tau, zero_epsilon};
+  QuerySpec zero_worlds = zero_epsilon;
+  zero_worlds.precision = PrecisionTarget{};
+  zero_worlds.mc.num_worlds = 0;
+  QuerySpec negative_deadline = zero_worlds;
+  negative_deadline.mc.num_worlds = 300;
+  negative_deadline.deadline_ms = -5.0;
+  QuerySpec nan_deadline = negative_deadline;
+  nan_deadline.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  QuerySpec endless_deadline = negative_deadline;
+  endless_deadline.deadline_ms = std::numeric_limits<double>::infinity();
+  const std::vector<QuerySpec> bad = {reversed,          zero_epsilon,
+                                      nan_tau,           zero_worlds,
+                                      negative_deadline, nan_deadline,
+                                      endless_deadline};
   const std::vector<QuerySpec> specs = MakeSpecs(6);
-  const std::vector<QueryOutcome> expected =
-      QuerySession(db(), index_.get()).RunAll(specs);
+  QuerySession session(db(), index_.get());
+  const std::vector<QueryOutcome> expected = session.RunAll(specs);
+
+  // The session path: bad specs interleaved with good ones in one batch.
+  std::vector<QuerySpec> mixed = bad;
+  mixed.insert(mixed.begin() + 2, specs.begin(), specs.end());
+  const std::vector<QueryOutcome> mixed_out = session.RunAll(mixed);
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    if (i >= 2 && i < 2 + specs.size()) {
+      EXPECT_TRUE(SameOutcome(mixed_out[i], expected[i - 2])) << "mixed " << i;
+    } else {
+      EXPECT_EQ(mixed_out[i].status.code(), StatusCode::kInvalidArgument)
+          << "mixed " << i;
+      EXPECT_EQ(mixed_out[i].worlds_used, 0u) << "mixed " << i;
+    }
+  }
 
   ServerOptions options;
   options.lanes = 2;
   options.max_batch_size = 64;
   QueryServer server(db(), index_.get(), options);
-  server.Pause();  // one batch: the bad specs land next to the good ones
-  std::vector<std::future<QueryOutcome>> bad_futures;
+  server.Pause();  // the bad specs are refused even while dispatch holds
   std::vector<std::future<QueryOutcome>> futures;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (i < bad.size()) bad_futures.push_back(server.Submit(bad[i]));
+  for (size_t i = 0; i < bad.size(); ++i) {
+    std::future<QueryOutcome> future = server.Submit(bad[i]);
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "bad " << i;
+    const QueryOutcome out = future.get();
+    EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument) << "bad " << i;
+    EXPECT_EQ(out.worlds_used, 0u) << "bad " << i;
+    if (i < specs.size()) futures.push_back(server.Submit(specs[i]));
+  }
+  for (size_t i = futures.size(); i < specs.size(); ++i) {
     futures.push_back(server.Submit(specs[i]));
   }
   server.Resume();
-  for (size_t i = 0; i < bad_futures.size(); ++i) {
-    const QueryOutcome out = bad_futures[i].get();
-    EXPECT_EQ(out.status.code(), StatusCode::kInvalidArgument) << "bad " << i;
-    EXPECT_EQ(out.worlds_used, 0u) << "bad " << i;
-  }
   uint64_t worlds = 0;
   for (size_t i = 0; i < futures.size(); ++i) {
     const QueryOutcome out = futures[i].get();
@@ -540,9 +573,93 @@ TEST_F(ServerTest, MalformedSpecsAreRejectedAndTheServerKeepsServing) {
   }
   server.Stop();
   const ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.completed, bad.size() + 2 * specs.size());
-  // The rejected specs drew no worlds; both valid rounds drew the same.
+  EXPECT_EQ(stats.submitted, bad.size() + 2 * specs.size());
+  EXPECT_EQ(stats.rejected, bad.size());
+  EXPECT_EQ(stats.rejected_invalid, bad.size());
+  EXPECT_EQ(stats.rejected,
+            stats.rejected_invalid + stats.rejected_queue_full +
+                stats.rejected_shed + stats.rejected_draining);
+  // Refused specs never held an in-flight slot or produced an outcome.
+  EXPECT_EQ(stats.admitted, 2 * specs.size());
+  EXPECT_EQ(stats.completed, 2 * specs.size());
+  // Both valid rounds drew the same worlds.
   EXPECT_EQ(stats.worlds_sampled(), 2 * worlds);
+}
+
+TEST_F(ServerTest, IdleLaneFlushesWithoutWaitingOutTheWindow) {
+  // Work-conserving flush: on an idle server a lone request leaves the
+  // admission window at once instead of sitting out max_batch_delay_ms.
+  // The lane may not have parked yet when Submit lands; its parking then
+  // wakes the held window (no lost wakeup), so the flush is still "idle".
+  // The bounds leave room for a sanitizer build's slow session build.
+  ServerOptions options;
+  options.lanes = 1;
+  options.max_batch_delay_ms = 5000.0;
+  QueryServer server(db(), index_.get(), options);
+  const QuerySpec spec = MakeSpecs(1)[0];
+  const auto start = std::chrono::steady_clock::now();
+  const QueryOutcome out = server.Submit(spec).get();
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_TRUE(out.status.ok());
+  EXPECT_LT(elapsed_ms, 2500.0);
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.flush_idle, 1u);
+  EXPECT_EQ(stats.flush_deadline, 0u);
+  EXPECT_LT(stats.queue_micros.max(), 250000.0);  // submit-to-flush
+}
+
+TEST_F(ServerTest, BusyLaneHoldsTheWindowAndFlushesOneBatchWhenItFrees) {
+  // While the only lane is busy the window still coalesces: four specs
+  // submitted behind a stalled morsel leave as ONE batch the moment the
+  // lane parks (long before the 5 s window), and every outcome is
+  // bit-identical to serial RunAll.
+  fault::ClearAll();
+  fault::FaultSpec stall;
+  stall.max_fires = 1;
+  stall.stall_ms = 100.0;
+  fault::Arm("lane_stall", stall);
+  if (!fault::Enabled()) GTEST_SKIP() << "fault injection compiled out";
+
+  std::vector<QuerySpec> specs = MakeSpecs(5);
+  for (QuerySpec& spec : specs) spec.T = T_;
+  const std::vector<QueryOutcome> expected =
+      QuerySession(db(), index_.get()).RunAll(specs);
+
+  ServerOptions options;
+  options.lanes = 1;
+  options.max_batch_delay_ms = 5000.0;
+  QueryServer server(db(), index_.get(), options);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<QueryOutcome>> futures;
+  futures.push_back(server.Submit(specs[0]));
+  // The lane adopted the first batch; its morsel stalls 100 ms.
+  while (server.Stats().lanes[0].batches < 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (size_t i = 1; i < specs.size(); ++i) {
+    futures.push_back(server.Submit(specs[i]));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_TRUE(SameOutcome(futures[i].get(), expected[i])) << "request " << i;
+  }
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_LT(elapsed_ms, 2500.0);  // the lane freed it, not the 5 s window
+  server.Stop();
+  fault::ClearAll();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.flush_idle, 2u);
+  EXPECT_EQ(stats.flush_deadline, 0u);
+  // Two interval groups, one per batch: the second carried all four specs.
+  EXPECT_EQ(stats.lanes[0].batches, 2u);
+  EXPECT_EQ(stats.lanes[0].requests, specs.size());
+  EXPECT_EQ(stats.completed, specs.size());
 }
 
 TEST_F(ServerTest, StopDrainsEveryAdmittedRequest) {
@@ -574,8 +691,9 @@ TEST_F(ServerTest, OversizedBatchDoesNotStallSmallBatchFlush) {
   // that flushed a batch also executed it, so one oversized batch blocked
   // the admission window and every batch behind it until it finished. With
   // execution lanes, the flush cadence is independent of execution time:
-  // the small batch below must flush on its deadline and complete while the
-  // oversized batch is still running on the other lane.
+  // the small batch below must flush on time — at once if the second lane
+  // is idle, on its deadline if it is stealing from the oversized batch —
+  // and complete while the oversized batch is still running.
   ServerOptions options;
   options.lanes = 2;
   options.max_batch_size = 4;
@@ -611,7 +729,8 @@ TEST_F(ServerTest, OversizedBatchDoesNotStallSmallBatchFlush) {
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, 5u);
   EXPECT_EQ(stats.flush_full, 1u);      // the oversized batch
-  EXPECT_GE(stats.flush_deadline, 1u);  // the small one, on time
+  // The small one, on time: to an idle lane or by the window.
+  EXPECT_GE(stats.flush_idle + stats.flush_deadline, 1u);
   // The regression is asserted through the server's own clocks, not through
   // instantaneous future polling — robust against the thread scheduling of
   // an oversubscribed sanitizer CI runner. On the pre-lane inline
@@ -659,8 +778,10 @@ TEST_F(ServerTest, ServerRejectsWhenAdmissionQueueIsFull) {
   // Every rejection lands in exactly one split bucket (none were draining —
   // the server was live throughout the burst).
   EXPECT_EQ(stats.rejected,
-            stats.rejected_queue_full + stats.rejected_shed);
+            stats.rejected_invalid + stats.rejected_queue_full +
+                stats.rejected_shed);
   EXPECT_EQ(stats.rejected_draining, 0u);
+  EXPECT_EQ(stats.rejected_invalid, 0u);
   EXPECT_EQ(stats.completed, 3u);
 
   // After Stop, submits bounce with kResourceLimit — the same backpressure
@@ -780,10 +901,12 @@ TEST_F(ServerTest, StatsRenderAsJson) {
   const std::string json = server.Stats().ToJson();
   for (const char* key :
        {"\"submitted\":5", "\"completed\":5", "\"rejected\":0",
-        "\"rejected_queue_full\":0", "\"rejected_shed\":0",
-        "\"rejected_draining\":0", "\"expired_in_queue\":0",
+        "\"rejected_invalid\":0", "\"rejected_queue_full\":0",
+        "\"rejected_shed\":0", "\"rejected_draining\":0",
+        "\"expired_in_queue\":0",
         "\"expired_on_lane\":0", "\"degraded_requests\":0",
         "\"overload_regime\":", "\"session_build_failures\":0", "\"batches\":",
+        "\"flush_idle\":", "\"flush_deadline\":",
         "\"cache_misses\":", "\"cache_busy_misses\":",
         "\"cache_shared_joins\":", "\"latency_us\":",
         "\"queue_us\":", "\"p50\":", "\"p99\":", "\"lane_queue_depth\":",
