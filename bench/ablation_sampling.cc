@@ -89,12 +89,15 @@ int main(int argc, char** argv) {
   // (b) Sequential decision cost vs the fixed Hoeffding sizing.
   CsvTable seq_table({"tau", "sequential_worlds", "hoeffding_worlds"});
   for (double tau : {0.1, 0.3, 0.5, 0.9}) {
-    SequentialOptions opts;
-    opts.delta = 0.05;
-    opts.max_worlds = 1 << 20;
-    opts.seed = 77;
-    auto decision = DecideThresholdSequential(db, ids, ids, q, T, tau,
-                                              PnnSemantics::kForall, opts);
+    MonteCarloOptions mc;
+    mc.num_worlds = 1 << 20;
+    mc.seed = 77;
+    PrecisionTarget precision;
+    precision.mode = PrecisionMode::kThreshold;
+    precision.delta = 0.05;
+    auto decision = EstimatePnnAdaptive(db, ids, ids, q, T,
+                                        PnnSemantics::kForall, tau, mc,
+                                        precision, nullptr, nullptr);
     UST_CHECK(decision.ok());
     seq_table.AddRow({tau,
                       static_cast<double>(decision.value().worlds_used),

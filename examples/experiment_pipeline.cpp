@@ -60,22 +60,26 @@ int main() {
   // "Which objects were the NN at some point with probability >= 0.3?"
   // Decided sequentially: clear cases stop after a few hundred worlds
   // instead of the ~18k a fixed Hoeffding sizing would dictate.
-  SequentialOptions options;
-  options.delta = 0.05;
-  options.seed = 99;
-  auto decision = DecideThresholdSequential(db.value(), alive, alive, q, T,
-                                            /*tau=*/0.3,
-                                            PnnSemantics::kExists, options);
+  MonteCarloOptions mc;
+  mc.num_worlds = 1 << 20;  // cap; the threshold rule stops far earlier
+  mc.seed = 99;
+  PrecisionTarget precision;
+  precision.mode = PrecisionMode::kThreshold;
+  precision.delta = 0.05;
+  const double tau = 0.3;
+  auto decision =
+      EstimatePnnAdaptive(db.value(), alive, alive, q, T,
+                          PnnSemantics::kExists, tau, mc, precision,
+                          /*pool=*/nullptr, /*scratch=*/nullptr);
   UST_CHECK(decision.ok());
   std::printf("sequential decision used %zu worlds total (fixed sizing at "
-              "eps=0.01: %zu)\n",
+              "eps=0.01: %zu), %zu undecided\n",
               decision.value().worlds_used,
-              HoeffdingSampleCount(0.01, 0.05));
-  for (const auto& d : decision.value().decisions) {
-    if (!d.qualifies) continue;
-    std::printf("  object %3u qualifies: p ~ %.3f (%s after %zu worlds)\n",
-                d.object, d.estimate,
-                d.decided ? "decided" : "undecided at cap", d.worlds_used);
+              HoeffdingSampleCount(0.01, 0.05), decision.value().undecided);
+  for (const PnnEstimate& e : decision.value().estimates) {
+    if (e.exists_prob < tau) continue;
+    std::printf("  object %3u qualifies: p ~ %.3f\n", e.object,
+                e.exists_prob);
   }
   return 0;
 }

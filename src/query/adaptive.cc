@@ -64,117 +64,6 @@ struct TargetHits {
 
 }  // namespace
 
-Result<SequentialPnnResult> EstimatePnnSequential(
-    const DbSnapshot& db, const std::vector<ObjectId>& participants,
-    const std::vector<ObjectId>& targets, const QueryTrajectory& q,
-    const TimeInterval& T, const SequentialOptions& options) {
-  if (options.epsilon <= 0.0 || options.delta <= 0.0 || options.delta >= 1.0) {
-    return Status::InvalidArgument("epsilon/delta out of range");
-  }
-  if (options.batch_size == 0 || options.max_worlds == 0) {
-    return Status::InvalidArgument("batch_size/max_worlds must be positive");
-  }
-  auto target_index = ResolveTargets(participants, targets);
-  if (!target_index.ok()) return target_index.status();
-  auto sampler =
-      WorldSampler::Create(db, participants, q, T, options.k, options.seed);
-  if (!sampler.ok()) return sampler.status();
-
-  WorldSampler::Scratch scratch;
-  sampler.value().ResetCursor(&scratch);
-  const size_t words_per_tic = (options.batch_size + 63) / 64;
-  std::vector<uint64_t> words(participants.size() * T.length() * words_per_tic,
-                              0);
-  TargetHits hits(target_index.value(), T.length());
-  size_t worlds = 0;
-  while (worlds < options.max_worlds) {
-    const size_t batch =
-        std::min(options.batch_size, options.max_worlds - worlds);
-    sampler.value().SampleNext(batch, words.data(), words_per_tic, &scratch);
-    hits.Add(words.data(), words_per_tic, batch);
-    worlds += batch;
-    if (HoeffdingEpsilon(worlds, options.delta) <= options.epsilon) break;
-  }
-
-  SequentialPnnResult result;
-  result.worlds_used = worlds;
-  result.epsilon_achieved = HoeffdingEpsilon(worlds, options.delta);
-  result.estimates.reserve(targets.size());
-  for (size_t ti = 0; ti < targets.size(); ++ti) {
-    result.estimates.push_back(
-        {targets[ti],
-         static_cast<double>(hits.forall[ti]) / static_cast<double>(worlds),
-         static_cast<double>(hits.exists[ti]) / static_cast<double>(worlds)});
-  }
-  return result;
-}
-
-Result<ThresholdQueryResult> DecideThresholdSequential(
-    const DbSnapshot& db, const std::vector<ObjectId>& participants,
-    const std::vector<ObjectId>& targets, const QueryTrajectory& q,
-    const TimeInterval& T, double tau, PnnSemantics semantics,
-    const SequentialOptions& options) {
-  if (tau < 0.0 || tau > 1.0) {
-    return Status::InvalidArgument("tau out of [0, 1]");
-  }
-  if (options.batch_size == 0 || options.max_worlds == 0) {
-    return Status::InvalidArgument("batch_size/max_worlds must be positive");
-  }
-  if (options.delta <= 0.0 || options.delta >= 1.0) {
-    return Status::InvalidArgument("delta out of range");
-  }
-  auto target_index = ResolveTargets(participants, targets);
-  if (!target_index.ok()) return target_index.status();
-  auto sampler =
-      WorldSampler::Create(db, participants, q, T, options.k, options.seed);
-  if (!sampler.ok()) return sampler.status();
-
-  // Bonferroni: each per-object interval at confidence 1 - delta/#targets so
-  // the joint decision holds at 1 - delta.
-  const double per_object_delta =
-      options.delta / static_cast<double>(std::max<size_t>(1, targets.size()));
-  WorldSampler::Scratch scratch;
-  sampler.value().ResetCursor(&scratch);
-  const size_t words_per_tic = (options.batch_size + 63) / 64;
-  std::vector<uint64_t> words(participants.size() * T.length() * words_per_tic,
-                              0);
-  TargetHits hits(target_index.value(), T.length());
-
-  ThresholdQueryResult result;
-  result.decisions.resize(targets.size());
-  std::vector<char> decided(targets.size(), 0);
-  size_t undecided = targets.size();
-  size_t worlds = 0;
-  while (worlds < options.max_worlds && undecided > 0) {
-    const size_t batch =
-        std::min(options.batch_size, options.max_worlds - worlds);
-    sampler.value().SampleNext(batch, words.data(), words_per_tic, &scratch);
-    hits.Add(words.data(), words_per_tic, batch);
-    worlds += batch;
-    for (size_t ti = 0; ti < targets.size(); ++ti) {
-      if (decided[ti]) continue;
-      const size_t h = hits.Of(semantics, ti);
-      Interval ci = WilsonInterval(h, worlds, per_object_delta);
-      if (ci.lo >= tau || ci.hi < tau) {
-        decided[ti] = 1;
-        --undecided;
-        result.decisions[ti] = {targets[ti], ci.lo >= tau, /*decided=*/true,
-                                static_cast<double>(h) / worlds, worlds};
-      }
-    }
-  }
-  // Undecided targets: fall back to the point estimate, flagged as such.
-  for (size_t ti = 0; ti < targets.size(); ++ti) {
-    if (decided[ti]) continue;
-    const size_t h = hits.Of(semantics, ti);
-    const double estimate = static_cast<double>(h) / worlds;
-    result.decisions[ti] = {targets[ti], estimate >= tau, /*decided=*/false,
-                            estimate, worlds};
-  }
-  result.worlds_used = worlds;
-  return result;
-}
-
 Result<AdaptivePnnResult> EstimatePnnAdaptive(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const std::vector<ObjectId>& targets, const QueryTrajectory& q,
@@ -275,6 +164,9 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
 
   WorldSampler::Scratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
+  // Live sampling's stream state at the next unsampled world.
+  std::vector<Rng> cursor;
+  if (!arena_ok) cursor = ws.InitialRngs();
 
   const int workers = pool != nullptr ? pool->num_threads() : 1;
   if (workers > 1 && num_chunks > 1) {
@@ -289,8 +181,6 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
     std::vector<std::vector<uint64_t>> bufs(
         wave_cap, std::vector<uint64_t>(table_words, 0));
     std::vector<std::vector<Rng>> starts(wave_cap);
-    std::vector<Rng> cursor;
-    if (!arena_ok) cursor = ws.InitialRngs();
     size_t c = 0;
     size_t wave_size = 1;
     while (c < num_chunks && !stopped) {
@@ -312,8 +202,8 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
           ws.EvalArenaWorlds(*arena, w0, n, bufs[j].data(), kWords,
                              &scratches[j]);
         } else {
-          ws.SampleWorldsFrom(starts[j], n, bufs[j].data(), kWords,
-                              &scratches[j]);
+          ws.SampleWorlds(&starts[j], n, bufs[j].data(), kWords,
+                          &scratches[j]);
         }
       });
       for (size_t j = 0; j < wave_chunks && !stopped; ++j) {
@@ -327,7 +217,6 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
       wave_size = wave_cap;
     }
   } else {
-    if (!arena_ok) ws.ResetCursor(scratch);
     // Rows a participant's window never reaches stay zero; every written
     // row is rewritten by each chunk, and a partial last chunk is counted
     // over its own words only.
@@ -338,7 +227,7 @@ Result<AdaptivePnnResult> EstimatePnnAdaptive(
       if (arena_ok) {
         ws.EvalArenaWorlds(*arena, w0, n, words.data(), kWords, scratch);
       } else {
-        ws.SampleNext(n, words.data(), kWords, scratch);
+        ws.SampleWorlds(&cursor, n, words.data(), kWords, scratch);
       }
       hits.Add(words.data(), kWords, n);
       worlds = w0 + n;

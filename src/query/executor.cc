@@ -102,7 +102,7 @@ class MonteCarloExecutor : public Executor {
       const override {
     UST_TRACE_SCOPE("exec_mc", task.mc.num_worlds, "worlds");
     if (task.precision.mode != PrecisionMode::kFixedWorlds) {
-      // Adaptive stopping: the sequential estimator owns the chunk loop and
+      // Adaptive stopping: the adaptive estimator owns the chunk loop and
       // stops at the first boundary where every target is decided / within
       // epsilon (query/adaptive.h). Same worlds, same arena contract —
       // only fewer of them.
@@ -121,24 +121,14 @@ class MonteCarloExecutor : public Executor {
       }
       return std::move(adaptive.value().estimates);
     }
-    auto table = ComputeNnTableScratch(*task.db, *task.participants, *task.q,
-                                       task.T, task.mc, ctx.pool,
-                                       ctx.sampler_scratch, ctx.arena,
-                                       ctx.arena_used);
-    if (!table.ok()) return table.status();
+    auto estimates = EstimatePnn(*task.db, *task.participants, *task.targets,
+                                 *task.q, task.T, task.mc, ctx.pool,
+                                 ctx.sampler_scratch, ctx.arena,
+                                 ctx.arena_used);
+    if (!estimates.ok()) return estimates.status();
     if (ctx.worlds_used != nullptr) *ctx.worlds_used = task.mc.num_worlds;
     if (ctx.early_stopped != nullptr) *ctx.early_stopped = false;
-    std::vector<PnnEstimate> out;
-    out.reserve(task.targets->size());
-    for (ObjectId t : *task.targets) {
-      const size_t idx = table.value().IndexOf(t);
-      if (idx == NnTable::npos) {
-        return Status::InvalidArgument("target not among participants");
-      }
-      out.push_back({t, table.value().ForallProb(idx),
-                     table.value().ExistsProb(idx)});
-    }
-    return out;
+    return estimates;
   }
 };
 

@@ -1,7 +1,6 @@
 #include "query/monte_carlo.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "query/world_arena.h"
@@ -124,9 +123,6 @@ Result<WorldSampler> WorldSampler::Create(const DbSnapshot& db,
     }
   }
   WorldSampler sampler;
-  // Monotonic cursor ids (never reused, never 0) back the SampleNext guard.
-  static std::atomic<uint64_t> next_cursor_id{1};
-  sampler.cursor_id_ = next_cursor_id.fetch_add(1, std::memory_order_relaxed);
   sampler.participants_ = std::move(participants);
   sampler.q_ = q;
   sampler.interval_ = T;
@@ -175,28 +171,7 @@ Result<WorldSampler> WorldSampler::Create(const DbSnapshot& db,
     }
     sampler.resolved_.push_back(std::move(p));
   }
-  sampler.live_rngs_.reserve(sampler.resolved_.size());
-  for (const Participant& p : sampler.resolved_) {
-    sampler.live_rngs_.push_back(p.rng0);
-  }
   return sampler;
-}
-
-void WorldSampler::SampleWorlds(size_t count, uint8_t* is_nn,
-                                size_t world_stride) {
-  const size_t row_len = resolved_.size() * interval_.length();
-  const size_t words_per_tic = (count + 63) / 64;
-  std::vector<uint64_t>& words = scratch_.words;
-  words.assign(row_len * words_per_tic, 0);
-  SampleCore(count, words.data(), words_per_tic, live_rngs_.data(),
-             &scratch_);
-  for (size_t w = 0; w < count; ++w) {
-    uint8_t* row = is_nn + w * world_stride;
-    const uint64_t* word = words.data() + (w >> 6);
-    for (size_t idx = 0; idx < row_len; ++idx) {
-      row[idx] = (word[idx * words_per_tic] >> (w & 63)) & 1u;
-    }
-  }
 }
 
 std::vector<Rng> WorldSampler::InitialRngs() const {
@@ -214,36 +189,11 @@ void WorldSampler::AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds) {
   }
 }
 
-void WorldSampler::SampleWorldsFrom(const std::vector<Rng>& rng_starts,
-                                    size_t count, uint64_t* words,
-                                    size_t words_per_tic,
-                                    Scratch* scratch) const {
-  UST_CHECK(rng_starts.size() == resolved_.size());
-  scratch->rngs = rng_starts;
-  // The cursor now holds this sampler's streams; keep the owner tag honest
-  // so a later SampleNext cannot continue foreign positions unchecked.
-  scratch->cursor_owner = cursor_id_;
-  SampleCore(count, words, words_per_tic, scratch->rngs.data(), scratch);
-}
-
-void WorldSampler::ResetCursor(Scratch* scratch) const {
-  scratch->rngs = InitialRngs();
-  scratch->cursor_owner = cursor_id_;
-}
-
-void WorldSampler::SampleNext(size_t count, uint64_t* words,
-                              size_t words_per_tic, Scratch* scratch) const {
-  // A cursor positioned on another sampler must not silently continue here:
-  // the worlds would depend on whatever query ran before, not on the seed.
-  UST_CHECK(cursor_id_ != 0 && scratch->cursor_owner == cursor_id_ &&
-            scratch->rngs.size() == resolved_.size());
-  SampleCore(count, words, words_per_tic, scratch->rngs.data(), scratch);
-}
-
-void WorldSampler::SampleCore(size_t count, uint64_t* words,
-                              size_t words_per_tic, Rng* rngs,
-                              Scratch* scratch) const {
+void WorldSampler::SampleWorlds(std::vector<Rng>* rngs, size_t count,
+                                uint64_t* words, size_t words_per_tic,
+                                Scratch* scratch) const {
   const size_t n = resolved_.size();
+  UST_CHECK(rngs->size() == n);
   scratch->index_rows.resize(n);
   for (size_t w0 = 0; w0 < count; w0 += kWorldChunk) {
     const size_t chunk = std::min(kWorldChunk, count - w0);
@@ -257,7 +207,7 @@ void WorldSampler::SampleCore(size_t count, uint64_t* words,
       if (!p.alive) continue;
       uint32_t* draws = scratch->draws.data() + p.doff * chunk;
       p.model->SampleWindowBatchVisit(
-          p.ws, p.we, chunk, rngs[i],
+          p.ws, p.we, chunk, (*rngs)[i],
           [draws, chunk](size_t w, size_t rel, uint32_t local, StateId) {
             draws[rel * chunk + w] = local;
           });
@@ -370,7 +320,7 @@ void WorldSampler::EvalArenaWorlds(const WorldArena& arena, size_t first_world,
     UST_CHECK(e != nullptr && e->ws == p.ws && e->we == p.we);
     rows[i] = arena.slab(*e);
   }
-  // Same chunk structure as SampleCore with the alias walk replaced by slab
+  // Same chunk structure as SampleWorlds with the alias walk replaced by slab
   // rows: the slab holds the exact support indices the walk would have
   // produced, tic-major with a row stride of the arena's world count, and
   // MarkChunk is shared — so the words are bit-identical to sampling these
@@ -386,17 +336,9 @@ Result<NnTable> ComputeNnTable(const DbSnapshot& db,
                                const std::vector<ObjectId>& participants,
                                const QueryTrajectory& q, const TimeInterval& T,
                                const MonteCarloOptions& options,
-                               ThreadPool* pool) {
-  return ComputeNnTableScratch(db, participants, q, T, options, pool,
-                               /*scratch=*/nullptr);
-}
-
-Result<NnTable> ComputeNnTableScratch(
-    const DbSnapshot& db, const std::vector<ObjectId>& participants,
-    const QueryTrajectory& q, const TimeInterval& T,
-    const MonteCarloOptions& options, ThreadPool* pool,
-    WorldSampler::Scratch* scratch, const WorldArena* arena,
-    bool* used_arena) {
+                               ThreadPool* pool,
+                               WorldSampler::Scratch* scratch,
+                               const WorldArena* arena, bool* used_arena) {
   auto sampler =
       WorldSampler::Create(db, participants, q, T, options.k, options.seed);
   if (!sampler.ok()) return sampler.status();
@@ -452,14 +394,15 @@ Result<NnTable> ComputeNnTableScratch(
     pool->ParallelForChunked(
         options.num_worlds, WorldSampler::kWorldChunk,
         [&](size_t begin, size_t end, int worker) {
-          ws.SampleWorldsFrom(chunk_rngs[begin / WorldSampler::kWorldChunk],
-                              end - begin, table.WordsAt(begin), wpt,
-                              &scratches[worker]);
+          ws.SampleWorlds(&chunk_rngs[begin / WorldSampler::kWorldChunk],
+                          end - begin, table.WordsAt(begin), wpt,
+                          &scratches[worker]);
         });
   } else {
-    // Serial: the stream continues across chunks (no repositioning cost).
-    ws.ResetCursor(scratch);
-    ws.SampleNext(options.num_worlds, table.WordsAt(0), wpt, scratch);
+    // Serial: one stream vector carries across chunks (no repositioning).
+    std::vector<Rng> rngs = ws.InitialRngs();
+    ws.SampleWorlds(&rngs, options.num_worlds, table.WordsAt(0), wpt,
+                    scratch);
   }
   return table;
 }
@@ -467,8 +410,11 @@ Result<NnTable> ComputeNnTableScratch(
 Result<std::vector<PnnEstimate>> EstimatePnn(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const std::vector<ObjectId>& targets, const QueryTrajectory& q,
-    const TimeInterval& T, const MonteCarloOptions& options, ThreadPool* pool) {
-  auto table_result = ComputeNnTable(db, participants, q, T, options, pool);
+    const TimeInterval& T, const MonteCarloOptions& options, ThreadPool* pool,
+    WorldSampler::Scratch* scratch, const WorldArena* arena,
+    bool* used_arena) {
+  auto table_result = ComputeNnTable(db, participants, q, T, options, pool,
+                                     scratch, arena, used_arena);
   if (!table_result.ok()) return table_result.status();
   const NnTable& table = table_result.value();
   std::vector<PnnEstimate> estimates;

@@ -157,8 +157,8 @@ class NnTable {
 
 /// \brief Batched possible-world sampler: draws worlds (a trajectory per
 /// participant, restricted to T) and marks which participants are (k)NNs of
-/// q at each tic. ComputeNnTable and the sequential estimators
-/// (query/adaptive.h) share this machinery.
+/// q at each tic. ComputeNnTable and EstimatePnnAdaptive (query/adaptive.h)
+/// share this machinery.
 ///
 /// Worlds are evaluated in chunks of kWorldChunk, tic-major: every buffer of
 /// a chunk is laid out [tic][world-in-chunk], so each step of the kernel is
@@ -183,17 +183,18 @@ class NnTable {
 /// alive window are never written — callers hand in zeroed rows (NnTable
 /// does). `words` must sit on a 64-world boundary of the caller's table.
 ///
-/// Worlds are also *position-addressable*: world w consumes exactly one draw
-/// of each participant's stream, so InitialRngs + AdvanceWorlds rebuild the
-/// stream state of any world index, and SampleWorldsFrom samples a range
-/// from there. That is what lets a thread pool shard one query's worlds
-/// across workers and still produce bit-identical tables (DESIGN.md §4).
+/// The sampler itself is immutable: the stream position lives in a
+/// caller-held vector of per-participant states. World w consumes exactly
+/// one draw of each participant's stream, so InitialRngs + AdvanceWorlds
+/// rebuild the state of any world index, and SampleWorlds continues from
+/// whatever state it is handed. That is what lets a thread pool shard one
+/// query's worlds across workers and still produce bit-identical tables
+/// (DESIGN.md §4).
 class WorldSampler {
  public:
-  /// Per-shard scratch: the chunk's tic-major distance and index blocks, the
-  /// per-tic k-th distances, and the advanced RNG copies. One per worker
-  /// thread; reused across calls (and across samplers — ResetCursor rebinds
-  /// it).
+  /// Per-shard scratch: the chunk's tic-major distance and index blocks and
+  /// the per-tic k-th distances. One per worker thread; holds no stream
+  /// state, so it is reused freely across calls and across samplers.
   struct Scratch {
     /// [participant window tic][world in chunk]; participant i's rows start
     /// at row doff_i (the sum of the earlier alive windows).
@@ -204,14 +205,9 @@ class WorldSampler {
     std::vector<uint32_t> draws;
     /// Per participant: its first support-index row of the chunk.
     std::vector<const uint32_t*> index_rows;
-    /// Chunk-local word table of callers that count hits per chunk instead
-    /// of keeping an NnTable (the sequential estimators, SampleWorlds).
+    /// Chunk-local word table of EstimatePnnAdaptive's serial path, which
+    /// counts hits per chunk instead of keeping an NnTable.
     std::vector<uint64_t> words;
-    std::vector<Rng> rngs;            // per-participant stream positions
-    /// Id of the sampler the cursor is positioned on (0 = none). An id, not
-    /// a pointer: ids are never reused, so a scratch outliving its sampler
-    /// cannot false-match a new sampler allocated at the same address.
-    uint64_t cursor_owner = 0;
   };
 
   /// Validates inputs (including every sampling window), resolves the
@@ -222,47 +218,23 @@ class WorldSampler {
                                      const TimeInterval& T, int k,
                                      uint64_t seed);
 
-  /// Samples `count` worlds continuing the sampler's own stream and unpacks
-  /// their marks to bytes: world w's row goes to `is_nn + w * world_stride`
-  /// (participant-major, size num_participants() * interval().length(),
-  /// layout as MarkNearestNeighbors). A thin wrapper over the word kernel
-  /// for byte-oriented reference callers.
-  void SampleWorlds(size_t count, uint8_t* is_nn, size_t world_stride);
-
-  /// Samples the next single world (SampleWorlds of count 1).
-  void NextWorld(uint8_t* is_nn) { SampleWorlds(1, is_nn, 0); }
-
-  /// Per-participant stream states at world 0 (the positions SampleWorlds
-  /// starts from on a fresh sampler).
+  /// Per-participant stream states at world 0.
   std::vector<Rng> InitialRngs() const;
 
   /// Advance per-participant stream states by `worlds` worlds (one raw draw
   /// per world per stream — the per-world fork in the batch walk). Shards
   /// derive their start states this way: one serial O(W) prefix pass, then
-  /// SampleWorldsFrom per shard — bit-identical to one serial pass.
+  /// SampleWorlds per shard — bit-identical to one serial pass.
   static void AdvanceWorlds(std::vector<Rng>* rngs, size_t worlds);
 
-  /// Sample `count` worlds starting from explicit stream states (as built by
-  /// InitialRngs + AdvanceWorlds) and mark them into `words` (class
-  /// comment). `rng_starts` is not modified; the cursor advances in
-  /// `scratch`. Safe concurrently with distinct scratches and disjoint
+  /// Sample `count` worlds from the stream states `*rngs` (one per
+  /// participant, as built by InitialRngs + AdvanceWorlds) and mark them
+  /// into `words` (class comment). `*rngs` is advanced in place past the
+  /// sampled worlds, so consecutive calls on one vector continue the
+  /// stream. Safe concurrently with distinct rngs, scratches and disjoint
   /// words.
-  void SampleWorldsFrom(const std::vector<Rng>& rng_starts, size_t count,
-                        uint64_t* words, size_t words_per_tic,
-                        Scratch* scratch) const;
-
-  /// Rewind `scratch`'s cursor to this sampler's world 0. Required before
-  /// the first SampleNext on this sampler — SampleNext refuses a cursor
-  /// positioned on a different sampler (a reused scratch must never leak a
-  /// stale stream position into a new query).
-  void ResetCursor(Scratch* scratch) const;
-
-  /// Continuation variant on caller-owned scratch: each call continues
-  /// where the previous one left off (no repositioning cost). Streams are
-  /// tracked in `scratch`, so distinct scratches hold independent cursors
-  /// over the same sampler.
-  void SampleNext(size_t count, uint64_t* words, size_t words_per_tic,
-                  Scratch* scratch) const;
+  void SampleWorlds(std::vector<Rng>* rngs, size_t count, uint64_t* words,
+                    size_t words_per_tic, Scratch* scratch) const;
 
   /// True when `arena` realizes every alive participant of this sampler over
   /// the exact sampling window (same interval, same seed-keyed streams are
@@ -271,12 +243,11 @@ class WorldSampler {
 
   /// Evaluate arena worlds [first_world, first_world + count) instead of
   /// sampling them, marking them as worlds [0, count) of `words`: the marks
-  /// are bit-identical to Sample* of the same worlds (the arena stores the
-  /// very support indices the batch walk would have produced, and both feed
-  /// the same kernel), but the alias-walk cost is gone. Requires
+  /// are bit-identical to SampleWorlds of the same worlds (the arena stores
+  /// the very support indices the batch walk would have produced, and both
+  /// feed the same kernel), but the alias-walk cost is gone. Requires
   /// CoveredBy(arena) and first_world + count <= arena.num_worlds(). Safe
-  /// concurrently with
-  /// distinct scratches and disjoint words.
+  /// concurrently with distinct scratches and disjoint words.
   void EvalArenaWorlds(const WorldArena& arena, size_t first_world,
                        size_t count, uint64_t* words, size_t words_per_tic,
                        Scratch* scratch) const;
@@ -306,12 +277,6 @@ class WorldSampler {
     std::vector<uint32_t> dtab_off;  // size wlen + 1
   };
 
-  /// Live sampling of `count` worlds advancing `rngs` (aligned with
-  /// participants): each chunk's alias walks write their support indices
-  /// into scratch->draws, then MarkChunk evaluates them.
-  void SampleCore(size_t count, uint64_t* words, size_t words_per_tic,
-                  Rng* rngs, Scratch* scratch) const;
-
   /// The world-evaluation kernel of one chunk, shared by the sampling and
   /// the arena paths (identical words by construction). Participant i's
   /// support indices at window tic r are the `chunk` contiguous values at
@@ -333,9 +298,6 @@ class WorldSampler {
   std::vector<Point2> qpts_;        // q.At per tic of T, hoisted
   size_t total_wlen_ = 0;           // sum of alive windows, per world
   std::vector<double> dtab_;        // support-state-to-q distance tables
-  std::vector<Rng> live_rngs_;      // stream positions of SampleWorlds
-  Scratch scratch_;                 // scratch of the mutating entry point
-  uint64_t cursor_id_ = 0;          // unique per Create; 0 = not created
 };
 
 /// \brief Sample `options.num_worlds` possible worlds over `participants` and
@@ -347,33 +309,25 @@ class WorldSampler {
 ///
 /// With a `pool`, world chunks are sharded across its workers; the table is
 /// bit-identical at any thread count (chunk boundaries are fixed and every
-/// shard re-derives its RNG position from the world index).
-Result<NnTable> ComputeNnTable(const DbSnapshot& db,
-                               const std::vector<ObjectId>& participants,
-                               const QueryTrajectory& q, const TimeInterval& T,
-                               const MonteCarloOptions& options,
-                               ThreadPool* pool = nullptr);
-
-/// \brief ComputeNnTable with caller-owned scratch: on the serial path
-/// (no pool, or num_worlds within one chunk) `scratch` is reused across
-/// calls, so a session running many queries allocates the sampling scratch
-/// once per worker lane instead of once per query. The world-sharded path
-/// allocates its per-worker scratch internally (amortized over the
-/// multi-chunk sampling it implies). `scratch` may be nullptr (a private
-/// local is used). The result is identical to ComputeNnTable.
+/// shard starts from the stream state of its first world). `scratch` is
+/// reused on the serial path (no pool, or num_worlds within one chunk), so a
+/// session running many queries allocates the sampling scratch once per
+/// worker lane; the sharded path allocates per-worker scratch internally.
+/// nullptr uses a private local.
 ///
 /// When `arena` is non-null, covers this query's (interval, seed,
 /// num_worlds) and all alive participants, the worlds are *evaluated*
 /// against the arena instead of sampled — same words, no alias walk — and
-/// `*used_arena` (if given) is set to true. Otherwise the call falls back
-/// to live sampling and sets `*used_arena` to false; the result is
-/// identical either way.
-Result<NnTable> ComputeNnTableScratch(
-    const DbSnapshot& db, const std::vector<ObjectId>& participants,
-    const QueryTrajectory& q, const TimeInterval& T,
-    const MonteCarloOptions& options, ThreadPool* pool,
-    WorldSampler::Scratch* scratch, const WorldArena* arena = nullptr,
-    bool* used_arena = nullptr);
+/// `*used_arena` (if given) is set to true. Otherwise the call samples live
+/// and sets `*used_arena` to false; the table is identical either way.
+Result<NnTable> ComputeNnTable(const DbSnapshot& db,
+                               const std::vector<ObjectId>& participants,
+                               const QueryTrajectory& q, const TimeInterval& T,
+                               const MonteCarloOptions& options,
+                               ThreadPool* pool = nullptr,
+                               WorldSampler::Scratch* scratch = nullptr,
+                               const WorldArena* arena = nullptr,
+                               bool* used_arena = nullptr);
 
 /// \brief Per-object probability estimates for the P∃NNQ / P∀NNQ queries.
 struct PnnEstimate {
@@ -383,11 +337,13 @@ struct PnnEstimate {
 };
 
 /// \brief Estimate P∀NN and P∃NN for every object in `targets`, sampling
-/// worlds over `participants` (targets ⊆ participants required).
+/// worlds over `participants` (targets ⊆ participants required). The
+/// trailing arguments are ComputeNnTable's.
 Result<std::vector<PnnEstimate>> EstimatePnn(
     const DbSnapshot& db, const std::vector<ObjectId>& participants,
     const std::vector<ObjectId>& targets, const QueryTrajectory& q,
     const TimeInterval& T, const MonteCarloOptions& options,
-    ThreadPool* pool = nullptr);
+    ThreadPool* pool = nullptr, WorldSampler::Scratch* scratch = nullptr,
+    const WorldArena* arena = nullptr, bool* used_arena = nullptr);
 
 }  // namespace ust

@@ -312,6 +312,9 @@ Status ValidateSpec(const QuerySpec& spec) {
   if (spec.mc.num_worlds == 0) {
     return Status::InvalidArgument("num_worlds must be >= 1");
   }
+  if (spec.mc.num_worlds > kMaxQueryWorlds) {
+    return Status::InvalidArgument("num_worlds must be <= 2^20");
+  }
   // The serving tier adds the budget to a nanosecond steady_clock; NaN,
   // negative and unrepresentable budgets (beyond ~31 years) are refused.
   if (!(spec.deadline_ms >= 0.0 && spec.deadline_ms <= 1e12)) {
@@ -472,9 +475,9 @@ void QuerySession::RunContinuous(const QuerySpec& spec,
   std::shared_ptr<const WorldArena> arena =
       ArenaFor(spec.T, spec.mc.seed, spec.mc.num_worlds, world_pool);
   bool used_arena = false;
-  auto table = ComputeNnTableScratch(db_, pruned.influencers, spec.q, spec.T,
-                                     spec.mc, world_pool, scratch, arena.get(),
-                                     &used_arena);
+  auto table = ComputeNnTable(db_, pruned.influencers, spec.q, spec.T,
+                              spec.mc, world_pool, scratch, arena.get(),
+                              &used_arena);
   if (!table.ok()) {
     out->status = table.status();
     return;

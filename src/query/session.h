@@ -106,11 +106,17 @@ struct QuerySpec {
   int priority = 0;
 };
 
+/// The largest mc.num_worlds a spec may ask for. A world table costs
+/// participants × |T| × num_worlds bits, so an unbounded count either
+/// exhausts memory or wraps the table's word count; 2^20 is far above what
+/// a Hoeffding sizing needs (18 445 worlds for epsilon 0.01 at delta 0.05).
+inline constexpr size_t kMaxQueryWorlds = size_t{1} << 20;
+
 /// \brief Reject a spec no backend can evaluate: k < 1, a reversed interval
 /// (T.start > T.end), a tau that is NaN or outside [0, 1], mc.num_worlds
-/// == 0, a deadline_ms that is NaN or outside [0, 1e12], or —
-/// unless the precision mode is kFixedWorlds — an epsilon or delta that is
-/// NaN or outside (0, 1). kInvalidArgument names the first offending field;
+/// == 0 or above kMaxQueryWorlds, a deadline_ms that is NaN or outside
+/// [0, 1e12], or — unless the precision mode is kFixedWorlds — an epsilon or
+/// delta that is NaN or outside (0, 1). kInvalidArgument names the first offending field;
 /// OK otherwise. QueryServer::Submit applies it at admission and
 /// QuerySession to every spec before pruning or planning, so client input
 /// can never reach a backend's assertions.
@@ -181,8 +187,7 @@ class QuerySession {
   /// \brief Reusable per-lane scratch for morsel execution (`RunMorsel`):
   /// the world-sampler buffers. A serving-tier lane owns one and reuses it
   /// across every morsel, group and session it executes — scratch is
-  /// session-portable by construction (the sampler cursor rebinds per
-  /// query).
+  /// session-portable by construction (it holds no stream state).
   using ExecScratch = WorldSampler::Scratch;
 
   explicit QuerySession(DbSnapshot db, const UstTree* index = nullptr,

@@ -17,11 +17,17 @@ OverloadController::OverloadController(OverloadOptions options)
 void OverloadController::NoteQueueDelay(double micros) {
   const double ms = micros / 1000.0;
   const double alpha = options_.queue_ewma_alpha;
-  if (queue_ewma_ms_ == 0.0) {
+  if (!has_queue_sample_) {
     queue_ewma_ms_ = ms;
+    has_queue_sample_ = true;
   } else {
     queue_ewma_ms_ = alpha * ms + (1.0 - alpha) * queue_ewma_ms_;
   }
+}
+
+void OverloadController::ClearQueueDelay() {
+  queue_ewma_ms_ = 0.0;
+  has_queue_sample_ = false;
 }
 
 OverloadRegime OverloadController::Target(double utilization) const {

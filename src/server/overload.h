@@ -84,8 +84,15 @@ class OverloadController {
   /// at flush time; microseconds — the queue_us histogram's unit).
   void NoteQueueDelay(double micros);
 
+  /// Forget the queue-delay signal; the server calls this when its last
+  /// in-flight request completes. Only flushed requests feed the EWMA, so
+  /// without this one long wait would pin the regime with no traffic left
+  /// to decay it — shedding every default-priority submit for good.
+  void ClearQueueDelay();
+
   OverloadRegime regime() const { return regime_; }
-  /// Smoothed queue delay, milliseconds (0 until the first flush).
+  /// Smoothed queue delay, milliseconds (0 until the first flush and
+  /// after ClearQueueDelay).
   double queue_delay_ewma_ms() const { return queue_ewma_ms_; }
   /// Regime escalations seen (normal->degrade counts 1, normal->shed 2).
   uint64_t escalations() const { return escalations_; }
@@ -103,6 +110,7 @@ class OverloadController {
   OverloadOptions options_;
   OverloadRegime regime_ = OverloadRegime::kNormal;
   double queue_ewma_ms_ = 0.0;
+  bool has_queue_sample_ = false;  ///< the EWMA holds at least one sample
   uint64_t escalations_ = 0;
 };
 

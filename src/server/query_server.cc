@@ -473,6 +473,7 @@ void QueryServer::StageBatch(std::vector<Request>* batch) {
         h_queue_->Record(queue_us);
         overload_.NoteQueueDelay(queue_us);
       }
+      if (in_flight_ == 0) overload_.ClearQueueDelay();
     }
     for (Request& request : expired) {
       // Expired requests still resolve and still count as completed: every
@@ -846,6 +847,7 @@ void QueryServer::FinalizeGroup(GroupTask* group) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     in_flight_ -= group->requests.size();
+    if (in_flight_ == 0) overload_.ClearQueueDelay();
   }
   // Count before resolving the futures: a client that saw its outcome must
   // also see it reflected in Stats(). The instruments are atomic, so the

@@ -152,27 +152,37 @@ TEST_P(InvariantSweep, PcnnLatticeConsistency) {
   }
 }
 
-TEST_P(InvariantSweep, SequentialAgreesWithFixedSampling) {
+TEST_P(InvariantSweep, AdaptiveEpsilonAgreesWithFixedSampling) {
   WorldUnderTest wut = MakeWorld(GetParam());
   const TrajectoryDatabase& db = *wut.world.db;
   std::vector<ObjectId> ids = db.AliveThroughout(wut.T.start, wut.T.end);
   if (ids.empty()) GTEST_SKIP();
-  SequentialOptions seq;
-  seq.epsilon = 0.03;
-  seq.delta = 0.05;
-  seq.seed = GetParam();
-  auto sequential =
-      EstimatePnnSequential(db, ids, ids, wut.q, wut.T, seq);
-  ASSERT_TRUE(sequential.ok());
+  MonteCarloOptions mc;
+  mc.num_worlds = 1 << 20;
+  mc.seed = GetParam();
+  PrecisionTarget precision;
+  precision.mode = PrecisionMode::kEpsilon;
+  precision.epsilon = 0.03;
+  precision.delta = 0.05;
+  // The epsilon rule bounds the estimates of the semantics it stops on, so
+  // each probability comes from a run stopping on its own semantics.
+  auto forall = EstimatePnnAdaptive(db, ids, ids, wut.q, wut.T,
+                                    PnnSemantics::kForall, 0.0, mc, precision,
+                                    nullptr, nullptr);
+  auto exists = EstimatePnnAdaptive(db, ids, ids, wut.q, wut.T,
+                                    PnnSemantics::kExists, 0.0, mc, precision,
+                                    nullptr, nullptr);
+  ASSERT_TRUE(forall.ok());
+  ASSERT_TRUE(exists.ok());
   MonteCarloOptions fixed;
   fixed.num_worlds = 4000;
   fixed.seed = GetParam() + 5;
   auto reference = EstimatePnn(db, ids, ids, wut.q, wut.T, fixed);
   ASSERT_TRUE(reference.ok());
   for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_NEAR(sequential.value().estimates[i].forall_prob,
+    EXPECT_NEAR(forall.value().estimates[i].forall_prob,
                 reference.value()[i].forall_prob, 0.06);
-    EXPECT_NEAR(sequential.value().estimates[i].exists_prob,
+    EXPECT_NEAR(exists.value().estimates[i].exists_prob,
                 reference.value()[i].exists_prob, 0.06);
   }
 }

@@ -113,7 +113,7 @@ class KernelDigestTest : public ::testing::Test {
       for (int threads : {1, 2}) {
         ThreadPool pool(threads);
         bool used_arena = false;
-        auto table = ComputeNnTableScratch(
+        auto table = ComputeNnTable(
             *world_->db, participants_, q_, T_, mc, &pool, nullptr,
             use_arena ? &arena.value() : nullptr, &used_arena);
         EXPECT_TRUE(table.ok());

@@ -109,6 +109,24 @@ TEST(OverloadControllerTest, QueueDelayEwmaDrivesRegimesAlone) {
   EXPECT_EQ(controller.Update(0, 100), OverloadRegime::kNormal);
 }
 
+TEST(OverloadControllerTest, ClearedQueueDelayLetsTheRegimeStepDown) {
+  OverloadController controller;
+  controller.NoteQueueDelay(2000.0 * 1000.0);
+  ASSERT_EQ(controller.Update(0, 100), OverloadRegime::kShed);
+  // No flush follows once the server is idle, so only a clear can lower
+  // the signal; the regime then walks down one step per update.
+  controller.ClearQueueDelay();
+  EXPECT_EQ(controller.queue_delay_ewma_ms(), 0.0);
+  EXPECT_EQ(controller.Update(0, 100), OverloadRegime::kDegrade);
+  EXPECT_EQ(controller.Update(0, 100), OverloadRegime::kNormal);
+  // A zero-delay sample is a sample: the next one is smoothed into it
+  // instead of re-seeding the EWMA.
+  controller.NoteQueueDelay(0.0);
+  controller.NoteQueueDelay(100.0 * 1000.0);
+  EXPECT_DOUBLE_EQ(controller.queue_delay_ewma_ms(),
+                   controller.options().queue_ewma_alpha * 100.0);
+}
+
 TEST(OverloadControllerTest, DisabledPinsNormal) {
   OverloadOptions options;
   options.enabled = false;
@@ -210,6 +228,28 @@ TEST_F(OverloadServerTest, ShedsLowPriorityAndSparesHighUnderOverload) {
   // fixed-worlds specs, so both were coarsened.
   EXPECT_EQ(stats.degraded_requests, 2u);
   EXPECT_GE(stats.overload_regime, 1u);
+}
+
+TEST_F(OverloadServerTest, LongHeldRequestDoesNotLatchShedding) {
+  // One request held past shed_queue_ms feeds the queue-delay EWMA a shed-
+  // level sample when it finally flushes. Once it completes nothing is in
+  // flight, so that sample must not keep refusing default-priority work.
+  const std::vector<QuerySpec> specs = MakeMcSpecs(3);
+  QueryServer server(db(), index_.get(), ServerOptions{});
+  server.Pause();
+  std::future<QueryOutcome> held = server.Submit(specs[0]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1300));
+  server.Resume();
+  EXPECT_TRUE(held.get().status.ok());
+
+  EXPECT_TRUE(server.Submit(specs[1]).get().status.ok());
+  EXPECT_TRUE(server.Submit(specs[2]).get().status.ok());
+  EXPECT_EQ(server.Stats().overload_regime,
+            static_cast<size_t>(OverloadRegime::kNormal));
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.rejected_shed, 0u);
 }
 
 TEST_F(OverloadServerTest, DegradeCoarsensOnlyImplicitPrecisionSpecs) {

@@ -8,6 +8,7 @@
 //    sampling produce the same worlds, and estimates match enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -216,25 +217,40 @@ TEST(PropagateEquivalenceTest, EstimatePnnSameSeedIsDeterministic) {
 }
 
 TEST(PropagateEquivalenceTest, BatchedWorldsMatchWorldAtATime) {
-  // The batched chunked path and the one-world-at-a-time path must produce
-  // the *same* worlds (per-participant RNG streams are chunk-independent).
+  // One batched call and world-at-a-time calls on the same stream vector
+  // must produce the *same* worlds (per-participant RNG streams are
+  // chunk-independent), word for word.
   Figure1World w = MakeFigure1World();
   std::vector<ObjectId> all = {w.o1, w.o2};
   const size_t num_worlds = 700;  // exercises a partial trailing chunk
-  const size_t stride = all.size() * w.T.length();
+  const size_t rows = all.size() * w.T.length();
+  const size_t words_per_tic = (num_worlds + 63) / 64;
 
-  auto batched = WorldSampler::Create(*w.db, all, w.q, w.T, 1, 4242);
-  ASSERT_TRUE(batched.ok());
-  std::vector<uint8_t> batched_bits(num_worlds * stride);
-  batched.value().SampleWorlds(num_worlds, batched_bits.data(), stride);
+  auto sampler = WorldSampler::Create(*w.db, all, w.q, w.T, 1, 4242);
+  ASSERT_TRUE(sampler.ok());
+  const WorldSampler& ws = sampler.value();
+  WorldSampler::Scratch scratch;
 
-  auto stepped = WorldSampler::Create(*w.db, all, w.q, w.T, 1, 4242);
-  ASSERT_TRUE(stepped.ok());
-  std::vector<uint8_t> stepped_bits(num_worlds * stride);
+  std::vector<uint64_t> batched(rows * words_per_tic, 0);
+  std::vector<Rng> batched_rngs = ws.InitialRngs();
+  ws.SampleWorlds(&batched_rngs, num_worlds, batched.data(), words_per_tic,
+                  &scratch);
+
+  std::vector<uint64_t> stepped(rows * words_per_tic, 0);
+  std::vector<Rng> stepped_rngs = ws.InitialRngs();
+  std::vector<uint64_t> one(rows, 0);
   for (size_t world = 0; world < num_worlds; ++world) {
-    stepped.value().NextWorld(stepped_bits.data() + world * stride);
+    std::fill(one.begin(), one.end(), 0);
+    ws.SampleWorlds(&stepped_rngs, 1, one.data(), 1, &scratch);
+    for (size_t r = 0; r < rows; ++r) {
+      stepped[r * words_per_tic + world / 64] |= one[r] << (world % 64);
+    }
   }
-  EXPECT_EQ(batched_bits, stepped_bits);
+  EXPECT_EQ(batched, stepped);
+  // Both vectors now sit at world 700 of every stream.
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(batched_rngs[i](), stepped_rngs[i]()) << "participant " << i;
+  }
 }
 
 TEST(PropagateEquivalenceTest, EstimatePnnMatchesEnumeration) {

@@ -489,7 +489,8 @@ TEST_F(ServerTest, MalformedSpecsAreRejectedAndTheServerKeepsServing) {
   // throw std::length_error out of UstTree::BuildProfiles (T.length()
   // wraps) and terminate the process from a lane thread; a NaN tau, a zero
   // epsilon and zero worlds were admitted and answered OK; a negative or
-  // NaN deadline was admitted as "no deadline". Submit now refuses each
+  // NaN deadline was admitted as "no deadline"; a world count above
+  // kMaxQueryWorlds crashed the process. Submit now refuses each
   // with kInvalidArgument before admission (counted as rejected_invalid),
   // QuerySession refuses them too — even mixed into one RunAll with valid
   // specs — and the lanes keep serving bit-identically.
@@ -517,10 +518,17 @@ TEST_F(ServerTest, MalformedSpecsAreRejectedAndTheServerKeepsServing) {
   nan_deadline.deadline_ms = std::numeric_limits<double>::quiet_NaN();
   QuerySpec endless_deadline = negative_deadline;
   endless_deadline.deadline_ms = std::numeric_limits<double>::infinity();
-  const std::vector<QuerySpec> bad = {reversed,          zero_epsilon,
-                                      nan_tau,           zero_worlds,
-                                      negative_deadline, nan_deadline,
-                                      endless_deadline};
+  // SIZE_MAX worlds would wrap the NnTable word count to zero, so the
+  // sampler would write past the table; 1e11 worlds cannot be allocated.
+  QuerySpec max_worlds = negative_deadline;
+  max_worlds.deadline_ms = 0.0;
+  max_worlds.mc.num_worlds = std::numeric_limits<size_t>::max();
+  QuerySpec huge_worlds = max_worlds;
+  huge_worlds.mc.num_worlds = static_cast<size_t>(1e11);
+  const std::vector<QuerySpec> bad = {
+      reversed,          zero_epsilon, nan_tau,          zero_worlds,
+      negative_deadline, nan_deadline, endless_deadline, max_worlds,
+      huge_worlds};
   const std::vector<QuerySpec> specs = MakeSpecs(6);
   QuerySession session(db(), index_.get());
   const std::vector<QueryOutcome> expected = session.RunAll(specs);
